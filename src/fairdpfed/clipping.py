@@ -55,19 +55,22 @@ def compute_update(w_final: ParamVector, w_init: ParamVector) -> ParamVector:
     return w_final - w_init
 
 
-def dual_clip(delta: ParamVector, S: float, M: float):
+def dual_clip(delta: ParamVector, S: float, M: float, norm=None, in_place=False):
     """Divide delta by max(1, ||delta||/S, ||delta||/M).
 
     The report names the binding branch: dp_bound when S <= M, bias_bound
-    when M < S (exact ties go to dp_bound).
+    when M < S (exact ties go to dp_bound). A given ``norm`` must be that of a
+    finite float64 delta and skips the check; ``in_place`` scales delta itself.
     """
     if S <= 0 or M <= 0:
         raise ValueError("thresholds S and M must be positive")
-    delta = as_vector(delta)
-    n = l2_norm(delta)
-    denom = max(1.0, n / S, n / M)
+    if norm is None:
+        delta = as_vector(delta)
+        norm = l2_norm(delta)
+    denom = max(1.0, norm / S, norm / M)
     if denom == 1.0:
-        return delta, ClipReport(pre_norm=n, factor=1.0, clipped_by="none")
+        return delta, ClipReport(pre_norm=norm, factor=1.0, clipped_by="none")
     branch = "dp_bound" if S <= M else "bias_bound"
     factor = 1.0 / denom
-    return delta * factor, ClipReport(pre_norm=n, factor=factor, clipped_by=branch)
+    return (np.multiply(delta, factor, out=delta if in_place else None),
+            ClipReport(pre_norm=norm, factor=factor, clipped_by=branch))

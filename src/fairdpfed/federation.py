@@ -6,6 +6,11 @@ bound S (fixed or the median of the round's unclipped update norms), applies
 the dual-threshold clip per client, averages, and adds Gaussian noise. All
 client work inside a round is a pure function of (global weights, shard,
 substream), so rounds are reproducible for any worker count.
+
+The server holds m_t * P * 8 bytes of updates once per run: one (m_t, P)
+float64 matrix, reused every round. Sampled client i writes its difference
+into row i and takes the row's norm (the update's one finiteness check); the
+server clips the rows in place and averages them with one reduction.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import models
-from .clipping import dual_clip, compute_update
+from .clipping import dual_clip
 from .datagen import BiasTag, ClientShard
 from .models import EvalMetrics, LabeledBatch, ModelSpec
 from .numeric import ParamVector, RngStream, l2_norm, median
@@ -119,6 +124,7 @@ class ServerState:
     w_global: ParamVector
     ledger: PrivacyLedger
     history: list = field(default_factory=list)
+    updates: np.ndarray = None  # the (m_t, P) update matrix, reused per round
 
 
 def sample_clients(K: int, q: float, rng: RngStream) -> list:
@@ -134,40 +140,29 @@ def adaptive_S(update_norms) -> float:
     return max(median(update_norms), S_FLOOR)
 
 
-def apply_update_bias(delta: ParamVector, tag: BiasTag) -> ParamVector:
+def apply_update_bias(delta: ParamVector, tag: BiasTag, in_place: bool = False) -> ParamVector:
     """Realize update-level bias at transmission time (direction preserved)."""
     if tag.mode == "update_scale":
-        return delta * tag.factor
+        return np.multiply(delta, tag.factor, out=delta if in_place else None)
     return delta
 
 
-def _client_update(spec, w_global, shard, config, stream):
-    w_local = models.local_train(
-        spec, w_global, shard.batch, config.epochs, config.lr, config.batch_size, stream
-    )
-    if not np.all(np.isfinite(w_local)):
-        raise SimulationError("local training produced non-finite parameters")
-    delta = compute_update(w_local, w_global)
-    return apply_update_bias(delta, shard.bias_tag)
-
-
-def aggregate_round(deltas, config: FedConfig):
+def aggregate_round(deltas, config: FedConfig, norms=None):
     """Pick S, dual-clip each update, and average with 1/m_t.
 
+    ``deltas`` is the round's (m_t, P) float64 update matrix, whose rows are
+    clipped in place, or a sequence of updates, which is copied into a new
+    matrix first. ``norms`` are the rows' norms, when the caller has already
+    taken them (and so checked the rows finite).
     Returns (averaged update, S_used, list of ClipReport).
     """
-    norms = [l2_norm(d) for d in deltas]
-    if config.S_policy == "median_adaptive":
-        S = adaptive_S(norms)
-    else:
-        S = config.S_fixed
-    clipped, reports = [], []
-    for d in deltas:
-        c, rep = dual_clip(d, S, config.M)
-        clipped.append(c)
-        reports.append(rep)
-    avg = np.sum(clipped, axis=0) / len(clipped)
-    return avg, S, reports
+    D = deltas if isinstance(deltas, np.ndarray) else np.array(deltas, dtype=np.float64)
+    if norms is None:
+        norms = [l2_norm(row) for row in D]
+    S = adaptive_S(norms) if config.S_policy == "median_adaptive" else config.S_fixed
+    reports = [dual_clip(row, S, config.M, norm=n, in_place=True)[1]
+               for row, n in zip(D, norms)]
+    return D.sum(axis=0) / len(D), S, reports
 
 
 def run_round(
@@ -183,31 +178,33 @@ def run_round(
     t = state.round
     sampled = sample_clients(config.K, config.q, root.child("sample", t))
     round_stream = root.child("round", t)
+    if state.updates is None:
+        state.updates = np.empty((len(sampled), spec.param_dim))
+    D = state.updates
 
-    def one(cid):
+    def one(i, cid):
+        """Write client cid's transmitted difference into row i; return its norm."""
+        row = D[i]
+        w_local = models.local_train(
+            spec, state.w_global, shards[cid].batch, config.epochs, config.lr,
+            config.batch_size, round_stream.child("client", cid),
+        )
+        np.subtract(w_local, state.w_global, out=row)
+        apply_update_bias(row, shards[cid].bias_tag, in_place=True)
         try:
-            return _client_update(
-                spec, state.w_global, shards[cid], config,
-                round_stream.child("client", cid),
-            )
-        except SimulationError as exc:
+            return l2_norm(row)
+        except ValueError as exc:
             raise SimulationError(
                 f"non-finite update from client {cid} in round {t}"
             ) from exc
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            deltas = list(pool.map(one, sampled))
+            norms = list(pool.map(one, range(len(sampled)), sampled))
     else:
-        deltas = [one(cid) for cid in sampled]
+        norms = [one(i, cid) for i, cid in enumerate(sampled)]
 
-    for cid, d in zip(sampled, deltas):
-        if not np.all(np.isfinite(d)):
-            raise SimulationError(
-                f"non-finite update from client {cid} in round {t}"
-            )
-
-    avg, S_used, reports = aggregate_round(deltas, config)
+    avg, S_used, reports = aggregate_round(D, config, norms)
     noise_std = config.sigma * S_used
     noisy = add_noise(avg, S_used, config.sigma, root.child("noise", t))
     w_next = state.w_global + noisy
@@ -215,7 +212,7 @@ def run_round(
         raise SimulationError(f"non-finite global model after round {t}")
 
     eps = epsilon_per_round(config.sigma, config.delta_dp, len(sampled), config.adjacency)
-    state.ledger.record(t, S_used, config.sigma, eps if math.isfinite(eps) else math.inf)
+    state.ledger.record(t, S_used, config.sigma, eps)
 
     record = RoundRecord(
         round=t,

@@ -34,7 +34,7 @@ from pathlib import Path
 from . import models
 from .datagen import BiasTag, DataSpec, PartitionScheme, generate, inject_bias, partition
 from .federation import FedConfig, run_training
-from .models import ModelSpec
+from .models import LabeledBatch, ModelSpec
 from .numeric import RngStream
 from .privacy import EPS_CAVEAT
 
@@ -248,13 +248,12 @@ def build_scenario(cfg: ExperimentConfig):
     return train, test, shards
 
 
-def centralized_baseline(cfg: ExperimentConfig):
-    """Train the same model on the pooled clean training data.
+def centralized_baseline(cfg: ExperimentConfig, train: LabeledBatch, test: LabeledBatch):
+    """Train the same model on build_scenario's pooled clean training data.
 
     Follows the federated round/epoch schedule and substreams exactly, so a
     single-client federation with no clipping or noise reproduces it.
     """
-    train, test, _ = build_scenario(cfg)
     spec = cfg.model_spec
     root = RngStream(cfg.fed.seed)
     w = models.init_params(spec, root.child("init"))
@@ -272,7 +271,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, workers: int = 1) -> RunSumma
     train, test, shards = build_scenario(cfg)
     spec = cfg.model_spec
     _, records, ledger = run_training(cfg.fed, spec, shards, test, workers=workers)
-    _, cen_eval = centralized_baseline(cfg)
+    _, cen_eval = centralized_baseline(cfg, train, test)
 
     last = records[-1]
     groups = list(last.eval.per_group_accuracy.values())

@@ -1,4 +1,7 @@
+import dataclasses
+import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from helpers_fed import fedavg_reference, scenario_config
 
 from fairdpfed import models
+from fairdpfed.clipping import dual_clip
 from fairdpfed.datagen import BiasTag
 from fairdpfed.federation import (
     FedConfig,
@@ -19,7 +23,7 @@ from fairdpfed.federation import (
     sample_clients,
 )
 from fairdpfed.harness import build_scenario
-from fairdpfed.numeric import RngStream
+from fairdpfed.numeric import RngStream, l2_norm
 from fairdpfed.privacy import PrivacyLedger
 
 
@@ -94,6 +98,110 @@ class TestAggregateRound:
         a, _, _ = aggregate_round(deltas, cfg)
         b, _, _ = aggregate_round(deltas[::-1], cfg)
         assert np.all(np.abs(a - b) <= 1e-12)
+
+
+def per_update_aggregate(deltas, config):
+    """The per-update server path: one dual_clip copy per update, then a sum
+    over the list of clipped copies."""
+    norms = [l2_norm(d) for d in deltas]
+    S = adaptive_S(norms) if config.S_policy == "median_adaptive" else config.S_fixed
+    clipped, reports = zip(*(dual_clip(d, S, config.M) for d in deltas))
+    return np.sum(list(clipped), axis=0) / len(deltas), S, list(reports)
+
+
+class TestAggregateMatrix:
+    @pytest.mark.parametrize("S_policy", ["median_adaptive", "fixed"])
+    def test_matches_per_update_path_bit_for_bit(self, S_policy):
+        g = np.random.default_rng(11)
+        scales = [0.05, 0.2, 0.5, 1.0, 2.0, 5.0, 20.0, 50.0, 100.0]
+        deltas = [s * g.normal(size=37) / math.sqrt(37) for s in scales]
+        branches = set()
+        for M in (10.0, 0.3):  # M above S (S binds), then below it (M binds)
+            cfg = FedConfig(K=len(deltas), S_policy=S_policy, S_fixed=3.0, M=M)
+            ref_avg, ref_S, ref_reports = per_update_aggregate(deltas, cfg)
+            D = np.array(deltas)
+            avg, S, reports = aggregate_round(D, cfg)
+            assert np.array_equal(avg, ref_avg)
+            assert S == ref_S
+            assert reports == ref_reports
+            branches |= {r.clipped_by for r in reports}
+        assert branches == {"none", "dp_bound", "bias_bound"}
+
+    def test_list_input_left_unmodified(self):
+        g = np.random.default_rng(12)
+        deltas = [s * g.normal(size=8) for s in (0.1, 1.0, 10.0)]
+        before = [d.copy() for d in deltas]
+        cfg = FedConfig(K=3, S_policy="median_adaptive", M=0.5)
+        _, _, reports = aggregate_round(deltas, cfg)
+        assert any(r.clipped_by != "none" for r in reports)
+        assert all(np.array_equal(d, b) for d, b in zip(deltas, before))
+
+
+class TestUpdateBuffer:
+    @staticmethod
+    def config():
+        base = scenario_config(
+            K=6, T=3, q=0.5, n_examples=300, sigma=0.5, S_policy="median_adaptive",
+            M=0.5, bias={"biased_client_ids": [0, 3], "mode": "update_scale",
+                         "factor": 25.0},
+        )
+        return dataclasses.replace(base, model_kind="mlp_1hidden", hidden_units=8)
+
+    @staticmethod
+    def run_rounds(config, workers, shards=None):
+        train, test, built = build_scenario(config)
+        shards = shards or built
+        spec = config.model_spec
+        root = RngStream(config.fed.seed)
+        state = ServerState(round=0, w_global=models.init_params(spec, root.child("init")),
+                            ledger=PrivacyLedger(delta_dp=config.fed.delta_dp))
+        snapshots = []
+        for _ in range(config.fed.T):
+            state, rec = run_round(state, shards, config.fed, spec, test, root,
+                                   workers=workers)
+            snapshots.append((state.w_global, state.w_global.copy(), rec,
+                              json.dumps(rec.to_dict(), sort_keys=True), state.updates))
+        return state, snapshots
+
+    @pytest.mark.parametrize("workers", [2, 8])
+    def test_worker_counts_agree(self, workers):
+        """Thread workers write disjoint rows of one shared matrix; a short
+        switch interval interleaves them as often as the interpreter allows."""
+        config = self.config()
+        _, serial = self.run_rounds(config, workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _, threaded = self.run_rounds(config, workers=workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [s[3] for s in threaded] == [s[3] for s in serial]
+        assert all(np.array_equal(a[1], b[1]) for a, b in zip(serial, threaded))
+
+    def test_one_buffer_and_later_rounds_leave_earlier_results_alone(self):
+        config = self.config()
+        state, snapshots = self.run_rounds(config, workers=2)
+        for w, w_then, rec, doc_then, buffer in snapshots:
+            assert np.array_equal(w, w_then)
+            assert json.dumps(rec.to_dict(), sort_keys=True) == doc_then
+            assert buffer is state.updates
+        assert state.updates.shape == (config.fed.m_t, config.model_spec.param_dim)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_nonfinite_error_names_first_sampled_client(self, workers):
+        config = self.config()
+        _, _, shards = build_scenario(config)
+        first = sample_clients(config.fed.K, config.fed.q,
+                               RngStream(config.fed.seed).child("sample", 0))
+        for cid in first[1:]:
+            X = shards[cid].batch.features.copy()
+            X[0, 0] = np.nan
+            shards[cid] = dataclasses.replace(shards[cid], batch=models.LabeledBatch(
+                X, shards[cid].batch.labels, shards[cid].batch.groups))
+        with np.errstate(all="ignore"):
+            with pytest.raises(SimulationError,
+                               match=f"client {first[1]} in round 0$"):
+                self.run_rounds(config, workers=workers, shards=shards)
 
 
 class TestRunRound:

@@ -118,19 +118,19 @@ class TestCentralizedBaseline:
                               S_policy="fixed", S_fixed=1e9, M=1e9)
         _, test, shards = build_scenario(cfg)
         w_fed, _, _ = run_training(cfg.fed, cfg.model_spec, shards, test)
-        w_cen, cen_eval = centralized_baseline(cfg)
+        w_cen, cen_eval = centralized_baseline(cfg, *build_scenario(cfg)[:2])
         assert np.all(np.abs(w_fed - w_cen) <= 1e-9)
         assert cen_eval.accuracy == models.evaluate(cfg.model_spec, w_fed, test).accuracy
 
     def test_separable_data_high_accuracy(self):
         cfg = scenario_config(K=4, T=30, n_examples=1000, class_separation=10.0)
-        _, cen_eval = centralized_baseline(cfg)
+        _, cen_eval = centralized_baseline(cfg, *build_scenario(cfg)[:2])
         assert cen_eval.accuracy > 0.95
 
     def test_deterministic(self):
         cfg = scenario_config(K=3, T=3, n_examples=200)
-        w1, _ = centralized_baseline(cfg)
-        w2, _ = centralized_baseline(cfg)
+        w1, _ = centralized_baseline(cfg, *build_scenario(cfg)[:2])
+        w2, _ = centralized_baseline(cfg, *build_scenario(cfg)[:2])
         assert np.array_equal(w1, w2)
 
     def test_baseline_ignores_bias_injection(self):
@@ -140,8 +140,8 @@ class TestCentralizedBaseline:
             bias={"biased_client_ids": [0, 1], "mode": "label_flip",
                   "flip_prob": 1.0, "target_group": 0},
         )
-        w_clean, _ = centralized_baseline(clean)
-        w_biased, _ = centralized_baseline(biased)
+        w_clean, _ = centralized_baseline(clean, *build_scenario(clean)[:2])
+        w_biased, _ = centralized_baseline(biased, *build_scenario(biased)[:2])
         assert np.array_equal(w_clean, w_biased)
 
 
