@@ -9,8 +9,8 @@ centralized baseline and tracks per-group accuracy and a nominal privacy cost.
 from .numeric import RngStream, gaussian_vector, l2_norm, median
 from .models import EvalMetrics, LabeledBatch, ModelSpec
 from .datagen import BiasTag, ClientShard, DataSpec, PartitionScheme
-from .clipping import ClipReport, clip_by_norm, clip_by_value, compute_update, dual_clip, model_clip
-from .privacy import PrivacyLedger, PrivacyParams, add_noise, epsilon_per_round
+from .clipping import ClipReport, clip_by_norm, dual_clip
+from .privacy import PrivacyLedger, add_noise, epsilon_per_round
 from .federation import FedConfig, RoundRecord, ServerState, SimulationError, run_training
 from .harness import (
     ConfigError,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 from pathlib import Path
 
@@ -22,6 +21,7 @@ from .harness import (
     PRESETS,
     compare_runs,
     config_from_dict,
+    config_to_dict,
     load_summary,
     parse_config,
     preset_config,
@@ -69,32 +69,28 @@ def _cmd_compare(args) -> int:
 
 
 def _sweep_value(raw: str):
-    if raw == "inf":
-        return math.inf
-    try:
-        return int(raw)
-    except ValueError:
-        return float(raw)
+    """A swept value as a config file would hold it: int, float or string."""
+    for parse in (int, float):
+        try:
+            return parse(raw)
+        except ValueError:
+            pass
+    return raw
 
 
 def _cmd_sweep(args) -> int:
     base = _with_seed(_load_config(args.config), args.seed)
     out_root = Path(args.out or "runs/sweep")
-    fed_fields = {f.name for f in dataclasses.fields(base.fed)}
-    if args.param not in fed_fields:
-        raise ConfigError(
-            f"sweep parameter {args.param!r} is not a federation key "
-            f"({sorted(fed_fields)})"
-        )
-    named = []
+    # every value passes the config file's checks before any run starts
+    configs = []
     for raw in args.values.split(","):
-        value = _sweep_value(raw)
-        cfg = dataclasses.replace(
-            base, fed=dataclasses.replace(base.fed, **{args.param: value})
-        )
-        run_dir = out_root / f"{args.param}={raw}"
-        summary = run_experiment(cfg, run_dir, workers=args.workers)
-        named.append((f"{args.param}={raw}", summary))
+        doc = config_to_dict(base)
+        doc["federation"][args.param] = _sweep_value(raw)
+        configs.append((f"{args.param}={raw}", config_from_dict(doc)))
+    named = []
+    for name, cfg in configs:
+        summary = run_experiment(cfg, out_root / name, workers=args.workers)
+        named.append((name, summary))
     text, csv_text = compare_runs(named)
     if not args.quiet:
         print(text, end="")

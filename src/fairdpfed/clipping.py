@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numeric import ParamVector, as_vector, l2_norm
+from .numeric import ParamVector, l2_norm
 
 
 @dataclass(frozen=True)
@@ -22,37 +22,16 @@ class ClipReport:
     clipped_by: str  # none | dp_bound | bias_bound
 
 
-def clip_by_value(v: ParamVector, lo: float, hi: float) -> ParamVector:
-    if lo > hi:
-        raise ValueError(f"lo ({lo}) must not exceed hi ({hi})")
-    return np.clip(as_vector(v), lo, hi)
-
-
 def clip_by_norm(v: ParamVector, c: float):
     """Scale v onto the L2 ball of radius c; no-op if already inside."""
     if c <= 0:
         raise ValueError("norm threshold must be positive")
-    v = as_vector(v)
+    v = np.asarray(v, dtype=np.float64)
     n = l2_norm(v)
     if n <= c:
         return v, ClipReport(pre_norm=n, factor=1.0, clipped_by="none")
     factor = c / n
     return v * factor, ClipReport(pre_norm=n, factor=factor, clipped_by="dp_bound")
-
-
-def model_clip(w: ParamVector, c: float) -> ParamVector:
-    """Norm-clip applied to full model parameters rather than a difference."""
-    clipped, _ = clip_by_norm(w, c)
-    return clipped
-
-
-def compute_update(w_final: ParamVector, w_init: ParamVector) -> ParamVector:
-    w_final, w_init = as_vector(w_final), as_vector(w_init)
-    if w_final.shape != w_init.shape:
-        raise ValueError(
-            f"dimension mismatch: {w_final.shape} vs {w_init.shape}"
-        )
-    return w_final - w_init
 
 
 def dual_clip(delta: ParamVector, S: float, M: float, norm=None, in_place=False):
@@ -65,7 +44,7 @@ def dual_clip(delta: ParamVector, S: float, M: float, norm=None, in_place=False)
     if S <= 0 or M <= 0:
         raise ValueError("thresholds S and M must be positive")
     if norm is None:
-        delta = as_vector(delta)
+        delta = np.asarray(delta, dtype=np.float64)
         norm = l2_norm(delta)
     denom = max(1.0, norm / S, norm / M)
     if denom == 1.0:

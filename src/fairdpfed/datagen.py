@@ -10,7 +10,6 @@ server loop at transmission time).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,6 +46,14 @@ class BiasTag:
     flip_prob: float = 0.0
     target_group: int = -1
     factor: float = 1.0
+
+    def __post_init__(self):
+        if self.mode not in ("clean", "label_flip", "update_scale"):
+            raise ValueError(f"unknown bias mode {self.mode!r}")
+        if not 0.0 <= self.flip_prob <= 1.0:
+            raise ValueError("flip probability must be in [0, 1]")
+        if not self.factor > 0:
+            raise ValueError("bias factor must be > 0")
 
 
 @dataclass(frozen=True)
@@ -154,47 +161,17 @@ def inject_bias(shard: ClientShard, tag: BiasTag, rng: RngStream) -> ClientShard
         raise ValueError("inject_bias requires a clean shard")
     if tag.mode == "clean":
         return shard
-    if tag.mode == "label_flip":
-        if not 0.0 <= tag.flip_prob <= 1.0:
-            raise ValueError("flip probability must be in [0, 1]")
-        b = shard.batch
-        y = b.labels.copy()
-        hit = (b.groups == tag.target_group) & (
-            rng.generator().random(len(b)) < tag.flip_prob
-        )
-        n_classes = int(max(2, y.max() + 1))
-        if n_classes == 2:
-            y[hit] = 1 - y[hit]
-        else:
-            shift = rng.child("flip-to").generator().integers(1, n_classes, size=len(y))
-            y[hit] = (y[hit] + shift[hit]) % n_classes
-        return replace(shard, batch=LabeledBatch(b.features, y, b.groups), bias_tag=tag)
     if tag.mode == "update_scale":
-        if tag.factor <= 0:
-            raise ValueError("update_scale factor must be > 0")
         return replace(shard, bias_tag=tag)
-    raise ValueError(f"unknown bias mode {tag.mode!r}")
-
-
-def export_batch_csv(batch: LabeledBatch, path) -> None:
-    """Write a batch as CSV: f0..f{n-1},label,group with 17 significant digits."""
-    d = batch.features.shape[1]
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow([f"f{j}" for j in range(d)] + ["label", "group"])
-        for i in range(len(batch)):
-            row = [format(x, ".17g") for x in batch.features[i]]
-            wr.writerow(row + [int(batch.labels[i]), int(batch.groups[i])])
-
-
-def import_batch_csv(path) -> LabeledBatch:
-    with open(path, newline="") as fh:
-        rd = csv.reader(fh)
-        header = next(rd)
-        d = len(header) - 2
-        feats, labels, groups = [], [], []
-        for row in rd:
-            feats.append([float(x) for x in row[:d]])
-            labels.append(int(row[d]))
-            groups.append(int(row[d + 1]))
-    return LabeledBatch(np.asarray(feats), np.asarray(labels), np.asarray(groups))
+    b = shard.batch
+    y = b.labels.copy()
+    hit = (b.groups == tag.target_group) & (
+        rng.generator().random(len(b)) < tag.flip_prob
+    )
+    n_classes = int(max(2, y.max() + 1))
+    if n_classes == 2:
+        y[hit] = 1 - y[hit]
+    else:
+        shift = rng.child("flip-to").generator().integers(1, n_classes, size=len(y))
+        y[hit] = (y[hit] + shift[hit]) % n_classes
+    return replace(shard, batch=LabeledBatch(b.features, y, b.groups), bias_tag=tag)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +48,7 @@ class FedConfig:
     M: float = math.inf
     sigma: float = 0.0
     delta_dp: float = 1e-5
-    adjacency: str = "remove_one"
+    adjacency: str = "remove_one"  # remove_one | replace_one
     seed: int = 0
 
     def __post_init__(self):
@@ -74,6 +74,8 @@ class FedConfig:
             raise ValueError("sigma must be >= 0")
         if not 0.0 < self.delta_dp < 1.0:
             raise ValueError("delta_dp must be strictly between 0 and 1")
+        if self.adjacency not in ("remove_one", "replace_one"):
+            raise ValueError(f"unknown adjacency {self.adjacency!r}")
 
     @property
     def m_t(self) -> int:
@@ -123,7 +125,6 @@ class ServerState:
     round: int
     w_global: ParamVector
     ledger: PrivacyLedger
-    history: list = field(default_factory=list)
     updates: np.ndarray = None  # the (m_t, P) update matrix, reused per round
 
 
@@ -235,7 +236,6 @@ def run_round(
     )
     state.w_global = w_next
     state.round = t + 1
-    state.history.append(record)
     return state, record
 
 
@@ -256,6 +256,8 @@ def run_training(
         w_global=w0,
         ledger=PrivacyLedger(delta_dp=config.delta_dp),
     )
+    records = []
     for _ in range(config.T):
-        state, _ = run_round(state, shards, config, spec, test, root, workers=workers)
-    return state.w_global, state.history, state.ledger
+        state, record = run_round(state, shards, config, spec, test, root, workers=workers)
+        records.append(record)
+    return state.w_global, records, state.ledger

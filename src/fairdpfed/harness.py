@@ -15,8 +15,8 @@ federation.K; unknown keys are rejected):
   partition:  kind (iid | dirichlet_label_skew), alpha
   federation: K, q, T, epochs, lr, batch_size, S_policy
               (median_adaptive | fixed), S_fixed, M (number or "inf"),
-              sigma, delta_dp, adjacency, seed
-  bias:       biased_client_ids, mode (label_flip | update_scale),
+              sigma, delta_dp, adjacency (remove_one | replace_one), seed
+  bias:       biased_client_ids, mode (clean | label_flip | update_scale),
               flip_prob, target_group, factor
   output:     emit_csv
 """
@@ -28,7 +28,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 
 from . import models
@@ -50,6 +50,11 @@ class BiasScenario:
     flip_prob: float = 0.5
     target_group: int = 0
     factor: float = 25.0
+
+    @property
+    def tag(self) -> BiasTag:
+        return BiasTag(mode=self.mode, flip_prob=self.flip_prob,
+                       target_group=self.target_group, factor=self.factor)
 
 
 @dataclass(frozen=True)
@@ -82,14 +87,16 @@ class RunSummary:
     wall_ms: int
 
 
+def _field_names(cls) -> set:
+    return {f.name for f in fields(cls)}
+
+
 _SECTION_KEYS = {
-    "data": {"n_examples", "n_features", "n_classes", "n_groups",
-             "class_separation", "group_correlation"},
+    "data": _field_names(DataSpec),
     "model": {"kind", "hidden_units"},
-    "partition": {"kind", "alpha"},
-    "federation": {"K", "q", "T", "epochs", "lr", "batch_size", "S_policy",
-                   "S_fixed", "M", "sigma", "delta_dp", "adjacency", "seed"},
-    "bias": {"biased_client_ids", "mode", "flip_prob", "target_group", "factor"},
+    "partition": _field_names(PartitionScheme),
+    "federation": _field_names(FedConfig),
+    "bias": _field_names(BiasScenario),
     "output": {"emit_csv"},
 }
 
@@ -140,6 +147,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             emit_csv=bool(out.get("emit_csv", False)),
         )
         cfg.model_spec  # validates model kind against data dimensions
+        cfg.bias.tag  # validates bias mode, flip_prob and factor
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
@@ -149,8 +157,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raise ConfigError(
                 f"bias.biased_client_ids: client {cid} outside [0, {cfg.fed.K})"
             )
-    if cfg.bias.mode not in ("clean", "label_flip", "update_scale"):
-        raise ConfigError(f"unknown bias.mode {cfg.bias.mode!r}")
     return cfg
 
 
@@ -163,13 +169,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         "model": {"kind": cfg.model_kind, "hidden_units": cfg.hidden_units},
         "partition": asdict(cfg.partition),
         "federation": fed,
-        "bias": {
-            "biased_client_ids": list(cfg.bias.biased_client_ids),
-            "mode": cfg.bias.mode,
-            "flip_prob": cfg.bias.flip_prob,
-            "target_group": cfg.bias.target_group,
-            "factor": cfg.bias.factor,
-        },
+        "bias": asdict(cfg.bias),
         "output": {"emit_csv": cfg.emit_csv},
     }
 
@@ -233,12 +233,7 @@ def build_scenario(cfg: ExperimentConfig):
     train, test = generate(cfg.data, root.child("data"))
     shards = partition(train, cfg.fed.K, cfg.partition, root.child("partition"))
     if cfg.bias.mode != "clean":
-        tag = BiasTag(
-            mode=cfg.bias.mode,
-            flip_prob=cfg.bias.flip_prob,
-            target_group=cfg.bias.target_group,
-            factor=cfg.bias.factor,
-        )
+        tag = cfg.bias.tag
         shards = [
             inject_bias(s, tag, root.child("bias", s.client_id))
             if s.client_id in cfg.bias.biased_client_ids

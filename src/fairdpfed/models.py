@@ -188,12 +188,6 @@ def local_train(
     """Mini-batch SGD; data reshuffled once per epoch from a per-epoch substream."""
     if len(batch) == 0:
         raise ValueError("cannot train on an empty shard")
-    if epochs < 0:
-        raise ValueError("epochs must be >= 0")
-    if lr <= 0:
-        raise ValueError("learning rate must be positive")
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
     w = np.array(w0, dtype=np.float64, copy=True)
     n = len(batch)
     for e in range(epochs):

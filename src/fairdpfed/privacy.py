@@ -22,21 +22,6 @@ EPS_CAVEAT = (
 )
 
 
-@dataclass(frozen=True)
-class PrivacyParams:
-    sigma: float  # noise multiplier, std = sigma * S
-    delta_dp: float
-    adjacency: str = "remove_one"  # remove_one | replace_one
-
-    def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
-        if not 0.0 < self.delta_dp < 1.0:
-            raise ValueError("delta_dp must be strictly between 0 and 1")
-        if self.adjacency not in ("remove_one", "replace_one"):
-            raise ValueError(f"unknown adjacency {self.adjacency!r}")
-
-
 def add_noise(avg_update: ParamVector, S: float, sigma: float, rng: RngStream) -> ParamVector:
     """Add N(0, (sigma*S)^2) noise per coordinate; sigma=0 is the identity."""
     if S <= 0:
@@ -95,18 +80,3 @@ class PrivacyLedger:
     @property
     def delta_total(self) -> float:
         return self.delta_dp * len(self.rounds)
-
-    def to_dict(self) -> dict:
-        return {
-            "delta_dp": self.delta_dp,
-            "rounds": list(self.rounds),
-            "eps_total_basic": self.eps_total_basic,
-            "delta_total": self.delta_total,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PrivacyLedger":
-        ledger = cls(delta_dp=d["delta_dp"])
-        for r in d["rounds"]:
-            ledger.record(r["round_index"], r["S_used"], r["sigma"], r["eps_round"])
-        return ledger

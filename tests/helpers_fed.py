@@ -63,3 +63,16 @@ def fedavg_reference(config, spec, shards):
         w = w + np.mean(deltas, axis=0)
         trajectory.append(w.copy())
     return trajectory
+
+
+# config files whose one bad value the config boundary must reject
+BAD_VALUES = {
+    "adjacency": {"federation": {"K": 4, "adjacency": "bogus"}},
+    "bias_mode": {"federation": {"K": 4}, "bias": {"mode": "bogus"}},
+    "negative_factor": {"federation": {"K": 4},
+                        "bias": {"biased_client_ids": [0], "mode": "update_scale",
+                                 "factor": -1}},
+    "flip_prob": {"federation": {"K": 4},
+                  "bias": {"biased_client_ids": [0], "mode": "label_flip",
+                           "flip_prob": 2}},
+}

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from helpers_fed import BAD_VALUES
+
 from fairdpfed.cli import main
 
 
@@ -43,6 +45,13 @@ class TestRun:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", sorted(BAD_VALUES))
+    def test_bad_value_exit_code(self, tmp_path, capsys, case):
+        rc = main(["--quiet", "run", write_config(tmp_path, BAD_VALUES[case])])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error:") and "Traceback" not in err
+
     def test_missing_file_exit_code(self, tmp_path):
         rc = main(["--quiet", "run", str(tmp_path / "absent.json")])
         assert rc in (2, 4)
@@ -74,3 +83,20 @@ class TestSweep:
         rc = main(["--quiet", "sweep", write_config(tmp_path, SMALL),
                    "--param", "banana", "--values", "1,2"])
         assert rc == 2
+
+    def test_sweep_bad_value_rejected_before_any_run(self, tmp_path, capsys):
+        rc = main(["--quiet", "--out", str(tmp_path / "sweep"),
+                   "sweep", write_config(tmp_path, SMALL),
+                   "--param", "sigma", "--values", "0.5,-1"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert not (tmp_path / "sweep").exists()
+
+    def test_sweep_string_values(self, tmp_path):
+        rc = main(["--quiet", "--out", str(tmp_path / "sweep"),
+                   "sweep", write_config(tmp_path, SMALL),
+                   "--param", "S_policy", "--values", "fixed,median_adaptive"])
+        assert rc == 0
+        dirs = sorted(p.name for p in (tmp_path / "sweep").iterdir())
+        assert dirs == ["S_policy=fixed", "S_policy=median_adaptive", "comparison.csv"]

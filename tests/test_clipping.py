@@ -2,40 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fairdpfed.clipping import (
-    clip_by_norm,
-    clip_by_value,
-    compute_update,
-    dual_clip,
-    model_clip,
-)
+from fairdpfed.clipping import clip_by_norm, dual_clip
 
 
 def vectors(max_dim=16):
     return st.lists(st.floats(-100, 100), min_size=1, max_size=max_dim).map(np.array)
-
-
-class TestClipByValue:
-    def test_mixed(self):
-        out = clip_by_value(np.array([-5.0, 0.5, 7.0]), -1.0, 1.0)
-        assert np.array_equal(out, [-1.0, 0.5, 1.0])
-
-    def test_identity_inside_range(self):
-        v = np.array([-0.3, 0.9])
-        assert np.array_equal(clip_by_value(v, -1, 1), v)
-
-    def test_idempotent(self):
-        v = np.array([-5.0, 0.5, 7.0])
-        once = clip_by_value(v, -1, 1)
-        assert np.array_equal(clip_by_value(once, -1, 1), once)
-
-    def test_bad_bounds(self):
-        with pytest.raises(ValueError):
-            clip_by_value(np.array([1.0]), 2.0, 1.0)
-
-    @given(vectors(), st.floats(0.01, 50))
-    def test_odd_symmetry(self, v, hi):
-        assert np.array_equal(clip_by_value(-v, -hi, hi), -clip_by_value(v, -hi, hi))
 
 
 class TestClipByNorm:
@@ -64,40 +35,6 @@ class TestClipByNorm:
         twice, rep = clip_by_norm(once, c)
         assert np.allclose(twice, once, atol=1e-15)
         assert np.linalg.norm(once) <= c * (1 + 1e-12)
-
-
-class TestModelClip:
-    def test_alias_of_clip_by_norm(self):
-        v = np.random.default_rng(0).normal(size=20)
-        for c in (0.1, 1.0, 100.0):
-            assert np.array_equal(model_clip(v, c), clip_by_norm(v, c)[0])
-
-    def test_exact_norm_after_clip(self):
-        v = np.array([3.0, 4.0])
-        c = 2.5  # norm is 2c
-        assert np.linalg.norm(model_clip(v, c)) == pytest.approx(c, rel=1e-15)
-
-    def test_identity_when_loose(self):
-        v = np.array([3.0, 4.0])
-        assert np.array_equal(model_clip(v, 6.0), v)
-
-
-class TestComputeUpdate:
-    def test_zero_difference(self):
-        w = np.array([1.0, 2.0])
-        assert np.array_equal(compute_update(w, w), np.zeros(2))
-
-    def test_elementwise(self):
-        out = compute_update(np.array([1.0, 2.0]), np.array([0.5, 0.0]))
-        assert np.array_equal(out, [0.5, 2.0])
-
-    def test_antisymmetric(self):
-        a, b = np.array([1.0, -2.0, 3.0]), np.array([0.1, 0.2, 0.3])
-        assert np.array_equal(compute_update(a, b), -compute_update(b, a))
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            compute_update(np.zeros(3), np.zeros(4))
 
 
 class TestDualClip:

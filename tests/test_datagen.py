@@ -6,9 +6,7 @@ from fairdpfed.datagen import (
     BiasTag,
     DataSpec,
     PartitionScheme,
-    export_batch_csv,
     generate,
-    import_batch_csv,
     inject_bias,
     partition,
 )
@@ -162,26 +160,16 @@ class TestInjectBias:
         with pytest.raises(ValueError):
             inject_bias(out, tag, RngStream(0).child("bias"))
 
+    @pytest.mark.parametrize("kwargs", [
+        {"mode": "bogus"},
+        {"mode": "update_scale", "factor": 0.0},
+    ])
+    def test_tag_checks_its_values(self, kwargs):
+        with pytest.raises(ValueError):
+            BiasTag(**kwargs)
+
     def test_invalid_probability(self):
         _, shards = make_shards(K=4, n=200)
-        tag = BiasTag(mode="label_flip", flip_prob=1.5, target_group=0)
         with pytest.raises(ValueError):
+            tag = BiasTag(mode="label_flip", flip_prob=1.5, target_group=0)
             inject_bias(shards[0], tag, RngStream(0).child("bias"))
-
-
-class TestCsvRoundTrip:
-    def test_lossless(self, tmp_path):
-        train, _ = generate(DataSpec(n_examples=50, n_features=3), RngStream(9).child("d"))
-        path = tmp_path / "train.csv"
-        export_batch_csv(train, path)
-        back = import_batch_csv(path)
-        assert np.array_equal(back.features, train.features)
-        assert np.array_equal(back.labels, train.labels)
-        assert np.array_equal(back.groups, train.groups)
-
-    def test_header(self, tmp_path):
-        train, _ = generate(DataSpec(n_examples=50, n_features=3), RngStream(9).child("d"))
-        path = tmp_path / "train.csv"
-        export_batch_csv(train, path)
-        header = path.read_text().splitlines()[0]
-        assert header == "f0,f1,f2,label,group"

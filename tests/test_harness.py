@@ -6,11 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers_fed import scenario_config
+from helpers_fed import BAD_VALUES, scenario_config
 
 from fairdpfed import models
 from fairdpfed.federation import run_training
 from fairdpfed.harness import (
+    _SECTION_KEYS,
+    PRESETS,
     ConfigError,
     RunSummary,
     build_scenario,
@@ -89,6 +91,11 @@ class TestParseConfig:
         echoed = config_to_dict(cfg)
         assert config_from_dict(echoed) == cfg
 
+    @pytest.mark.parametrize("case", sorted(BAD_VALUES))
+    def test_bad_value_rejected(self, tmp_path, case):
+        with pytest.raises(ConfigError):
+            parse_config(write_config(tmp_path, BAD_VALUES[case]))
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("K = 4")
@@ -102,6 +109,13 @@ class TestPresets:
     def test_presets_parse(self, name):
         cfg = preset_config(name)
         assert cfg.fed.K == 10
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_echo_sections_match_schema(self, name):
+        doc = config_to_dict(preset_config(name))
+        assert set(doc) == set(_SECTION_KEYS)
+        for section, body in doc.items():
+            assert set(body) == _SECTION_KEYS[section]
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):

@@ -3,13 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from fairdpfed.federation import FedConfig
 from fairdpfed.numeric import RngStream
-from fairdpfed.privacy import (
-    PrivacyLedger,
-    PrivacyParams,
-    add_noise,
-    epsilon_per_round,
-)
+from fairdpfed.privacy import PrivacyLedger, add_noise, epsilon_per_round
 
 
 class TestAddNoise:
@@ -75,16 +71,19 @@ class TestEpsilonPerRound:
 
 
 class TestPrivacyParams:
+    """The privacy values sigma, delta_dp and adjacency are checked by FedConfig."""
+
     def test_valid(self):
-        PrivacyParams(sigma=1.0, delta_dp=1e-5)
+        FedConfig(K=1, sigma=1.0, delta_dp=1e-5)
+        FedConfig(K=1, sigma=0.0, delta_dp=0.5, adjacency="replace_one")
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            PrivacyParams(sigma=-1.0, delta_dp=1e-5)
+            FedConfig(K=1, sigma=-1.0, delta_dp=1e-5)
         with pytest.raises(ValueError):
-            PrivacyParams(sigma=1.0, delta_dp=0.0)
-        with pytest.raises(ValueError):
-            PrivacyParams(sigma=1.0, delta_dp=1e-5, adjacency="swap_two")
+            FedConfig(K=1, sigma=1.0, delta_dp=0.0)
+        with pytest.raises(ValueError, match="adjacency"):
+            FedConfig(K=1, sigma=1.0, delta_dp=1e-5, adjacency="swap_two")
 
 
 class TestLedger:
@@ -110,15 +109,6 @@ class TestLedger:
         for t, e in enumerate(reversed(eps)):
             b.record(t, 1.0, 1.0, e)
         assert a.eps_total_basic == pytest.approx(b.eps_total_basic)
-
-    def test_serialization_round_trip(self):
-        ledger = PrivacyLedger(delta_dp=1e-5)
-        ledger.record(0, 0.123456789, 2.0, 0.5)
-        ledger.record(1, 0.987654321, 2.0, 0.25)
-        import json
-        doc = json.loads(json.dumps(ledger.to_dict()))
-        back = PrivacyLedger.from_dict(doc)
-        assert back.to_dict() == ledger.to_dict()
 
     def test_negative_eps_rejected(self):
         ledger = PrivacyLedger(delta_dp=1e-5)
