@@ -10,7 +10,6 @@ Exit codes: 0 success, 2 config error, 3 simulation abort, 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -26,6 +25,7 @@ from .harness import (
     parse_config,
     preset_config,
     run_experiment,
+    run_sweep,
 )
 
 
@@ -35,10 +35,15 @@ def _load_config(source: str) -> ExperimentConfig:
     return parse_config(source)
 
 
+def _with_fed(cfg: ExperimentConfig, key: str, value) -> ExperimentConfig:
+    """cfg with federation.key set to value, checked as a config file's values are."""
+    doc = config_to_dict(cfg)
+    doc["federation"][key] = value
+    return config_from_dict(doc)
+
+
 def _with_seed(cfg: ExperimentConfig, seed) -> ExperimentConfig:
-    if seed is None:
-        return cfg
-    return dataclasses.replace(cfg, fed=dataclasses.replace(cfg.fed, seed=seed))
+    return cfg if seed is None else _with_fed(cfg, "seed", seed)
 
 
 def _cmd_run(args) -> int:
@@ -82,15 +87,9 @@ def _cmd_sweep(args) -> int:
     base = _with_seed(_load_config(args.config), args.seed)
     out_root = Path(args.out or "runs/sweep")
     # every value passes the config file's checks before any run starts
-    configs = []
-    for raw in args.values.split(","):
-        doc = config_to_dict(base)
-        doc["federation"][args.param] = _sweep_value(raw)
-        configs.append((f"{args.param}={raw}", config_from_dict(doc)))
-    named = []
-    for name, cfg in configs:
-        summary = run_experiment(cfg, out_root / name, workers=args.workers)
-        named.append((name, summary))
+    configs = [(f"{args.param}={raw}", _with_fed(base, args.param, _sweep_value(raw)))
+               for raw in args.values.split(",")]
+    named = run_sweep(configs, args.param, out_root, workers=args.workers)
     text, csv_text = compare_runs(named)
     if not args.quiet:
         print(text, end="")

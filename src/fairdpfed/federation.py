@@ -8,9 +8,14 @@ client work inside a round is a pure function of (global weights, shard,
 substream), so rounds are reproducible for any worker count.
 
 The server holds m_t * P * 8 bytes of updates once per run: one (m_t, P)
-float64 matrix, reused every round. Sampled client i writes its difference
-into row i and takes the row's norm (the update's one finiteness check); the
-server clips the rows in place and averages them with one reduction.
+float64 matrix, reused every round. Each round its rows are set to the global
+model and models.train_clients trains the sampled clients together, client i
+in row i: at each local step the clients whose minibatch has the same size
+run as one stacked matmul, and their rows are updated in place. The result is
+bit-identical to training each client on its own. Subtracting the global
+model turns row i into client i's transmitted difference, whose norm is the
+update's one finiteness check; the server clips the rows in place and
+averages them with one reduction.
 """
 
 from __future__ import annotations
@@ -52,26 +57,33 @@ class FedConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("K", "T", "epochs", "batch_size", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.K < 1:
             raise ValueError("K must be >= 1")
-        if not 0.0 < self.q <= 1.0:
-            raise ValueError("q must be in (0,1]")
         if self.T < 1:
             raise ValueError("T must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.lr <= 0:
-            raise ValueError("lr must be > 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        # each float check is written so that NaN fails it
+        if not 0.0 < self.q <= 1.0:
+            raise ValueError("q must be in (0,1]")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError("lr must be a finite number > 0")
         if self.S_policy not in ("median_adaptive", "fixed"):
             raise ValueError(f"unknown S_policy {self.S_policy!r}")
-        if self.S_policy == "fixed" and not self.S_fixed > 0:
-            raise ValueError("fixed S must be > 0")
-        if self.M <= 0:
+        if not 0.0 < self.S_fixed < math.inf:
+            raise ValueError("S_fixed must be a finite number > 0")
+        if not self.M > 0:
             raise ValueError("M must be > 0 (use inf to disable)")
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be a finite number >= 0")
         if not 0.0 < self.delta_dp < 1.0:
             raise ValueError("delta_dp must be strictly between 0 and 1")
         if self.adjacency not in ("remove_one", "replace_one"):
@@ -183,15 +195,20 @@ def run_round(
         state.updates = np.empty((len(sampled), spec.param_dim))
     D = state.updates
 
-    def one(i, cid):
-        """Write client cid's transmitted difference into row i; return its norm."""
-        row = D[i]
-        w_local = models.local_train(
-            spec, state.w_global, shards[cid].batch, config.epochs, config.lr,
-            config.batch_size, round_stream.child("client", cid),
+    def train(map_fn):
+        """Train every sampled client in its row of D; return the rows' norms."""
+        D[:] = state.w_global
+        models.train_clients(
+            spec, D, [shards[cid].batch for cid in sampled], config.epochs, config.lr,
+            config.batch_size, [round_stream.child("client", cid) for cid in sampled],
+            map_fn,
         )
-        np.subtract(w_local, state.w_global, out=row)
-        apply_update_bias(row, shards[cid].bias_tag, in_place=True)
+        np.subtract(D, state.w_global, out=D)
+        return list(map_fn(finish, range(len(sampled)), sampled))
+
+    def finish(i, cid):
+        """Apply client cid's update bias to its difference in row i; return the norm."""
+        row = apply_update_bias(D[i], shards[cid].bias_tag, in_place=True)
         try:
             return l2_norm(row)
         except ValueError as exc:
@@ -201,9 +218,9 @@ def run_round(
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            norms = list(pool.map(one, range(len(sampled)), sampled))
+            norms = train(pool.map)
     else:
-        norms = [one(i, cid) for i, cid in enumerate(sampled)]
+        norms = train(map)
 
     avg, S_used, reports = aggregate_round(D, config, norms)
     noise_std = config.sigma * S_used

@@ -260,13 +260,20 @@ def centralized_baseline(cfg: ExperimentConfig, train: LabeledBatch, test: Label
     return w, models.evaluate(spec, w, test)
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir, workers: int = 1) -> RunSummary:
-    """Run the federation plus the centralized reference and write artifacts."""
+def run_experiment(cfg: ExperimentConfig, out_dir, workers: int = 1,
+                   scenario=None, cen_eval=None) -> RunSummary:
+    """Run the federation plus the centralized reference and write artifacts.
+
+    ``scenario`` (what build_scenario returns) and ``cen_eval`` (the
+    baseline's test metrics) are computed here unless the caller passes them
+    from a config that gives the same ones (see :func:`run_sweep`).
+    """
     t0 = time.monotonic()
-    train, test, shards = build_scenario(cfg)
+    train, test, shards = scenario or build_scenario(cfg)
     spec = cfg.model_spec
     _, records, ledger = run_training(cfg.fed, spec, shards, test, workers=workers)
-    _, cen_eval = centralized_baseline(cfg, train, test)
+    if cen_eval is None:
+        _, cen_eval = centralized_baseline(cfg, train, test)
 
     last = records[-1]
     groups = list(last.eval.per_group_accuracy.values())
@@ -294,6 +301,32 @@ def run_experiment(cfg: ExperimentConfig, out_dir, workers: int = 1) -> RunSumma
     if cfg.emit_csv:
         _write_rounds_csv(records, out / "rounds.csv")
     return summary
+
+
+# The federation keys build_scenario and centralized_baseline read. A sweep
+# over any other key shares one scenario, and one baseline, across its values.
+_SCENARIO_KEYS = frozenset({"K", "seed"})
+_BASELINE_KEYS = frozenset({"T", "epochs", "lr", "batch_size", "seed"})
+
+
+def run_sweep(configs, param: str, out_root, workers: int = 1) -> list:
+    """Run each (name, config) of a one-key federation sweep into out_root/name.
+
+    The configs differ only in federation.param. The scenario is built again
+    only when param is one of its inputs, and so is the baseline; otherwise
+    every run reuses the first run's. Returns [(name, RunSummary)].
+    """
+    scenario = cen_eval = None
+    named = []
+    for name, cfg in configs:
+        if scenario is None or param in _SCENARIO_KEYS:
+            scenario = build_scenario(cfg)
+        if cen_eval is None or param in _BASELINE_KEYS:
+            _, cen_eval = centralized_baseline(cfg, *scenario[:2])
+        summary = run_experiment(cfg, Path(out_root) / name, workers=workers,
+                                 scenario=scenario, cen_eval=cen_eval)
+        named.append((name, summary))
+    return named
 
 
 _CSV_COLUMNS = ["round", "S_used", "M_used", "noise_std", "eps_round",

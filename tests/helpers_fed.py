@@ -1,5 +1,7 @@
 """Shared scenario builders and the independent plain-averaging reference."""
 
+import math
+
 import numpy as np
 
 from fairdpfed import models
@@ -75,4 +77,15 @@ BAD_VALUES = {
     "flip_prob": {"federation": {"K": 4},
                   "bias": {"biased_client_ids": [0], "mode": "label_flip",
                            "flip_prob": 2}},
+    # json reads NaN and Infinity; neither is a usable value for these keys
+    **{f"{key}_nan": {"federation": {"K": 4, key: math.nan}}
+       for key in ("q", "lr", "S_fixed", "M", "sigma", "delta_dp")},
+    **{f"{key}_inf": {"federation": {"K": 4, key: math.inf}}
+       for key in ("lr", "S_fixed", "sigma")},
+    # counts must be integers (not floats, not bools), and the seed >= 0
+    "T_float": {"federation": {"K": 4, "T": 2.5}},
+    "K_float": {"federation": {"K": 4.0}},
+    "epochs_bool": {"federation": {"K": 4, "epochs": True}},
+    "batch_size_float": {"federation": {"K": 4, "batch_size": 8.0}},
+    "seed_negative": {"federation": {"K": 4, "seed": -1}},
 }

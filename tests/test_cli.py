@@ -4,6 +4,7 @@ import pytest
 
 from helpers_fed import BAD_VALUES
 
+from fairdpfed import harness
 from fairdpfed.cli import main
 
 
@@ -52,6 +53,12 @@ class TestRun:
         assert rc == 2
         assert err.startswith("config error:") and "Traceback" not in err
 
+    def test_negative_seed_override_exit_code(self, tmp_path, capsys):
+        rc = main(["--quiet", "--seed", "-1", "run", write_config(tmp_path, SMALL)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error:") and "Traceback" not in err
+
     def test_missing_file_exit_code(self, tmp_path):
         rc = main(["--quiet", "run", str(tmp_path / "absent.json")])
         assert rc in (2, 4)
@@ -92,6 +99,51 @@ class TestSweep:
         assert rc == 2
         assert err.startswith("config error:") and "Traceback" not in err
         assert not (tmp_path / "sweep").exists()
+
+    def test_sweep_non_integer_count_rejected_before_any_run(self, tmp_path, capsys):
+        rc = main(["--quiet", "--out", str(tmp_path / "sweep"),
+                   "sweep", write_config(tmp_path, SMALL),
+                   "--param", "T", "--values", "2,2.5"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize("param, values, scenarios, baselines", [
+        ("M", "0.5,1,inf", 1, 1),
+        ("sigma", "0,0.5", 1, 1),
+        ("T", "1,2", 1, 2),
+        ("K", "3,4", 2, 1),
+        ("seed", "0,5", 2, 2),
+    ])
+    def test_sweep_builds_scenario_and_baseline_once_unless_swept(
+            self, tmp_path, monkeypatch, param, values, scenarios, baselines):
+        calls = {"build_scenario": 0, "centralized_baseline": 0}
+        for name in calls:
+            original = getattr(harness, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(harness, name, counted)
+        config = write_config(tmp_path, SMALL)
+        rc = main(["--quiet", "--out", str(tmp_path / "sweep"), "sweep", config,
+                   "--param", param, "--values", values])
+        assert rc == 0
+        assert calls == {"build_scenario": scenarios, "centralized_baseline": baselines}
+        monkeypatch.undo()
+        for value in values.split(","):
+            raw = json.loads(json.dumps(SMALL))
+            raw["federation"][param] = value if value == "inf" else json.loads(value)
+            single = tmp_path / f"single-{value}"
+            assert main(["--quiet", "--out", str(single), "run",
+                         write_config(tmp_path, raw)]) == 0
+            swept = tmp_path / "sweep" / f"{param}={value}"
+            for artifact in ("rounds.jsonl", "config.echo"):
+                assert (swept / artifact).read_bytes() == (single / artifact).read_bytes()
+            assert (json.loads((swept / "summary.json").read_text())["A_Cen"]
+                    == json.loads((single / "summary.json").read_text())["A_Cen"])
 
     def test_sweep_string_values(self, tmp_path):
         rc = main(["--quiet", "--out", str(tmp_path / "sweep"),

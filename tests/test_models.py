@@ -1,9 +1,12 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from fairdpfed import models
+from fairdpfed.datagen import DataSpec, PartitionScheme, generate, partition
 from fairdpfed.models import EvalMetrics, LabeledBatch, ModelSpec
 from fairdpfed.numeric import RngStream
 
@@ -157,6 +160,57 @@ class TestLocalTrain:
             models.local_train(LOGREG, np.zeros(5), empty, 1, 0.1, 4, RngStream(0))
 
 
+def per_client_sgd(spec, w0, batch, epochs, lr, batch_size, rng):
+    """The per-client loop written out plainly: one gradient call per
+    minibatch, taken as perm[start:start + batch_size] of the epoch's shuffle."""
+    w = w0.copy()
+    n = len(batch)
+    for e in range(epochs):
+        perm = rng.child("epoch", e).generator().permutation(n)
+        for start in range(0, n, batch_size):
+            idx = perm[start:start + batch_size]
+            mb = LabeledBatch(batch.features[idx], batch.labels[idx], batch.groups[idx])
+            w -= lr * models.gradient(spec, w, mb)
+    return w
+
+
+class TestTrainClients:
+    BATCH_SIZE = 16
+
+    @staticmethod
+    def shards(spec):
+        data = DataSpec(n_examples=500, n_features=spec.n_features,
+                        n_classes=spec.n_classes, class_separation=2.0)
+        train, _ = generate(data, RngStream(3).child("data"))
+        scheme = PartitionScheme(kind="dirichlet_label_skew", alpha=0.3)
+        return [s.batch for s in partition(train, 9, scheme, RngStream(3).child("p"))]
+
+    @pytest.mark.parametrize("spec", [LOGREG, SOFTMAX, MLP], ids=["binary", "softmax", "mlp"])
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    @pytest.mark.parametrize("small_groups", [False, True])
+    def test_matches_per_client_loop_bit_for_bit(self, monkeypatch, spec, workers,
+                                                  small_groups):
+        batches = self.shards(spec)
+        sizes = [len(b) for b in batches]
+        bs = self.BATCH_SIZE
+        assert min(sizes) < bs and any(n % bs for n in sizes if n > bs)
+        if small_groups:  # at most 2 rows per group step: chunks, gathered rows
+            monkeypatch.setattr(models, "GROUP_BYTES", 2 * 8 * spec.param_dim)
+        w0 = models.init_params(spec, RngStream(4).child("init"))
+        rngs = [RngStream(4).child("client", i) for i in range(len(batches))]
+        W = np.tile(w0, (len(batches), 1))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                models.train_clients(spec, W, batches, 2, 0.1, bs, rngs,
+                                     pool.map if workers > 1 else map)
+        finally:
+            sys.setswitchinterval(interval)
+        for row, batch, rng in zip(W, batches, rngs):
+            assert np.array_equal(row, per_client_sgd(spec, w0, batch, 2, 0.1, bs, rng))
+
+
 class TestEvaluate:
     def test_perfect_classifier(self):
         spec = ModelSpec(kind="logistic_regression", n_features=2, n_classes=2)
@@ -192,4 +246,4 @@ class TestFlattenRoundTrip:
     def test_unflatten_flatten_exact(self, spec):
         w = models.init_params(spec, RngStream(8).child("w"))
         parts = models._unflatten(spec, w)
-        assert np.array_equal(models._flatten(spec, parts), w)
+        assert np.array_equal(np.concatenate([p.ravel() for p in parts]), w)
