@@ -1,6 +1,6 @@
 """Command line entry point.
 
-  fairdpfed run <config.json | preset-name> [--out DIR] [--seed N] [--workers N]
+  fairdpfed run <config.json | preset-name> [--out DIR] [--seed N]
   fairdpfed compare <run-dir> [<run-dir> ...] [--out DIR]
   fairdpfed sweep <config.json | preset-name> --param KEY --values a,b,c [--out DIR]
 
@@ -49,7 +49,7 @@ def _with_seed(cfg: ExperimentConfig, seed) -> ExperimentConfig:
 def _cmd_run(args) -> int:
     cfg = _with_seed(_load_config(args.config), args.seed)
     out = Path(args.out or "runs/run")
-    summary = run_experiment(cfg, out, workers=args.workers)
+    summary = run_experiment(cfg, out)
     if not args.quiet:
         print(f"run complete: {out}")
         print(
@@ -89,7 +89,7 @@ def _cmd_sweep(args) -> int:
     # every value passes the config file's checks before any run starts
     configs = [(f"{args.param}={raw}", _with_fed(base, args.param, _sweep_value(raw)))
                for raw in args.values.split(",")]
-    named = run_sweep(configs, args.param, out_root, workers=args.workers)
+    named = run_sweep(configs, args.param, out_root)
     text, csv_text = compare_runs(named)
     if not args.quiet:
         print(text, end="")
@@ -102,8 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--quiet", action="store_true", help="suppress stdout report")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="intra-round client workers (does not affect results)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one experiment")

@@ -34,12 +34,13 @@ def clip_by_norm(v: ParamVector, c: float):
     return v * factor, ClipReport(pre_norm=n, factor=factor, clipped_by="dp_bound")
 
 
-def dual_clip(delta: ParamVector, S: float, M: float, norm=None, in_place=False):
+def dual_clip(delta: ParamVector, S: float, M: float, norm=None, out=None):
     """Divide delta by max(1, ||delta||/S, ||delta||/M).
 
     The report names the binding branch: dp_bound when S <= M, bias_bound
     when M < S (exact ties go to dp_bound). A given ``norm`` must be that of a
-    finite float64 delta and skips the check; ``in_place`` scales delta itself.
+    finite float64 delta and skips the check. A clipped delta is written to
+    ``out`` when given, else to a new array; an unclipped one is returned as is.
     """
     if S <= 0 or M <= 0:
         raise ValueError("thresholds S and M must be positive")
@@ -51,5 +52,5 @@ def dual_clip(delta: ParamVector, S: float, M: float, norm=None, in_place=False)
         return delta, ClipReport(pre_norm=norm, factor=1.0, clipped_by="none")
     branch = "dp_bound" if S <= M else "bias_bound"
     factor = 1.0 / denom
-    return (np.multiply(delta, factor, out=delta if in_place else None),
+    return (np.multiply(delta, factor, out=out),
             ClipReport(pre_norm=norm, factor=factor, clipped_by=branch))

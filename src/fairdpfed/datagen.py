@@ -10,12 +10,13 @@ server loop at transmission time).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .models import LabeledBatch
-from .numeric import RngStream
+from .numeric import RngStream, require_ints
 
 
 @dataclass(frozen=True)
@@ -28,12 +29,14 @@ class DataSpec:
     group_correlation: float = 0.0
 
     def __post_init__(self):
+        require_ints(self, ("n_examples", "n_features", "n_classes", "n_groups"))
         if self.n_examples < 1 or self.n_features < 1:
             raise ValueError("n_examples and n_features must be positive")
         if self.n_classes < 2 or self.n_groups < 2:
             raise ValueError("n_classes and n_groups must be >= 2")
-        if self.class_separation <= 0:
-            raise ValueError("class_separation must be > 0")
+        # each float check is written so that NaN fails it
+        if not 0.0 < self.class_separation < math.inf:
+            raise ValueError("class_separation must be a finite number > 0")
         if not 0.0 <= self.group_correlation <= 1.0:
             raise ValueError("group_correlation must be in [0, 1]")
 
@@ -71,8 +74,8 @@ class PartitionScheme:
     def __post_init__(self):
         if self.kind not in ("iid", "dirichlet_label_skew"):
             raise ValueError(f"unknown partition kind {self.kind!r}")
-        if self.kind == "dirichlet_label_skew" and self.alpha <= 0:
-            raise ValueError("dirichlet alpha must be > 0")
+        if self.kind == "dirichlet_label_skew" and not 0.0 < self.alpha < math.inf:
+            raise ValueError("dirichlet alpha must be a finite number > 0")
 
 
 def generate(spec: DataSpec, rng: RngStream):
@@ -121,7 +124,8 @@ def partition(train: LabeledBatch, K: int, scheme: PartitionScheme, rng: RngStre
     if K < 1:
         raise ValueError("K must be >= 1")
     if K > n:
-        raise ValueError(f"cannot partition {n} examples across {K} clients")
+        raise ValueError(
+            f"cannot partition {n} training examples across federation.K={K} clients")
     g = rng.generator()
     if scheme.kind == "iid":
         idx_lists = np.array_split(g.permutation(n), K)
@@ -147,7 +151,9 @@ def _dirichlet_split(labels: np.ndarray, K: int, alpha: float, g: np.random.Gene
                 parts[k].extend(chunk.tolist())
         if all(len(p) >= 1 for p in parts):
             return [np.asarray(p, dtype=np.int64) for p in parts]
-    raise RuntimeError("dirichlet partition failed to give every client data")
+    raise ValueError(
+        f"a Dirichlet split with partition.alpha={alpha} left some of the "
+        f"federation.K={K} clients without data in 1000 draws; raise alpha or lower K")
 
 
 def inject_bias(shard: ClientShard, tag: BiasTag, rng: RngStream) -> ClientShard:

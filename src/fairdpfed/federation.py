@@ -5,23 +5,23 @@ locally and transmit the parameter difference, the server picks the clipping
 bound S (fixed or the median of the round's unclipped update norms), applies
 the dual-threshold clip per client, averages, and adds Gaussian noise. All
 client work inside a round is a pure function of (global weights, shard,
-substream), so rounds are reproducible for any worker count.
+substream), so rounds are reproducible.
 
 The server holds m_t * P * 8 bytes of updates once per run: one (m_t, P)
-float64 matrix, reused every round. Each round its rows are set to the global
-model and models.train_clients trains the sampled clients together, client i
-in row i: at each local step the clients whose minibatch has the same size
-run as one stacked matmul, and their rows are updated in place. The result is
-bit-identical to training each client on its own. Subtracting the global
-model turns row i into client i's transmitted difference, whose norm is the
-update's one finiteness check; the server clips the rows in place and
-averages them with one reduction.
+float64 matrix, reused every round. models.train_clients trains the sampled
+clients together, client i in row i: at each local step the clients whose
+minibatch has the same size run as one stacked matmul, and their rows are
+updated in place. The result is bit-identical to training each client on its
+own. Each row is finished right after its client's last step, while it is
+still in cache: it becomes the client's transmitted difference (minus the
+global model, times any update bias), and its norm, the update's one
+finiteness check, is taken. The server then clips each row into one reused
+vector and adds it to a running total, one read of the matrix.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +30,7 @@ from . import models
 from .clipping import dual_clip
 from .datagen import BiasTag, ClientShard
 from .models import EvalMetrics, LabeledBatch, ModelSpec
-from .numeric import ParamVector, RngStream, l2_norm, median
+from .numeric import ParamVector, RngStream, l2_norm, median, require_ints
 from .privacy import PrivacyLedger, add_noise, epsilon_per_round
 
 S_FLOOR = 1e-12
@@ -57,10 +57,7 @@ class FedConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("K", "T", "epochs", "batch_size", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        require_ints(self, ("K", "T", "epochs", "batch_size", "seed"))
         if self.K < 1:
             raise ValueError("K must be >= 1")
         if self.T < 1:
@@ -163,19 +160,26 @@ def apply_update_bias(delta: ParamVector, tag: BiasTag, in_place: bool = False) 
 def aggregate_round(deltas, config: FedConfig, norms=None):
     """Pick S, dual-clip each update, and average with 1/m_t.
 
-    ``deltas`` is the round's (m_t, P) float64 update matrix, whose rows are
-    clipped in place, or a sequence of updates, which is copied into a new
-    matrix first. ``norms`` are the rows' norms, when the caller has already
-    taken them (and so checked the rows finite).
+    ``deltas`` is the round's (m_t, P) float64 update matrix, or a sequence of
+    updates; it is left unchanged. ``norms`` are the updates' norms, when the
+    caller has already taken them (and so checked the updates finite). Each
+    update is clipped into one reused vector and added to a running total in
+    order, which is how D.sum(axis=0) adds the rows of a C-contiguous matrix,
+    so the average is bit-identical to summing the clipped matrix.
     Returns (averaged update, S_used, list of ClipReport).
     """
-    D = deltas if isinstance(deltas, np.ndarray) else np.array(deltas, dtype=np.float64)
+    D = np.asarray(deltas, dtype=np.float64)
     if norms is None:
         norms = [l2_norm(row) for row in D]
     S = adaptive_S(norms) if config.S_policy == "median_adaptive" else config.S_fixed
-    reports = [dual_clip(row, S, config.M, norm=n, in_place=True)[1]
-               for row, n in zip(D, norms)]
-    return D.sum(axis=0) / len(D), S, reports
+    total = np.zeros(D.shape[1])
+    clipped = np.empty_like(total)
+    reports = []
+    for row, norm in zip(D, norms):
+        row, report = dual_clip(row, S, config.M, norm=norm, out=clipped)
+        total += row
+        reports.append(report)
+    return total / len(D), S, reports
 
 
 def run_round(
@@ -185,7 +189,6 @@ def run_round(
     spec: ModelSpec,
     test: LabeledBatch,
     root: RngStream,
-    workers: int = 1,
 ):
     """Execute one communication round, mutating and returning the state."""
     t = state.round
@@ -194,33 +197,26 @@ def run_round(
     if state.updates is None:
         state.updates = np.empty((len(sampled), spec.param_dim))
     D = state.updates
+    norms = [None] * len(sampled)  # None: the update is not finite
 
-    def train(map_fn):
-        """Train every sampled client in its row of D; return the rows' norms."""
-        D[:] = state.w_global
-        models.train_clients(
-            spec, D, [shards[cid].batch for cid in sampled], config.epochs, config.lr,
-            config.batch_size, [round_stream.child("client", cid) for cid in sampled],
-            map_fn,
-        )
-        np.subtract(D, state.w_global, out=D)
-        return list(map_fn(finish, range(len(sampled)), sampled))
-
-    def finish(i, cid):
-        """Apply client cid's update bias to its difference in row i; return the norm."""
-        row = apply_update_bias(D[i], shards[cid].bias_tag, in_place=True)
+    def finish(i):
+        """Turn row i into client i's transmitted difference and take its norm."""
+        row = D[i]
+        np.subtract(row, state.w_global, out=row)
+        apply_update_bias(row, shards[sampled[i]].bias_tag, in_place=True)
         try:
-            return l2_norm(row)
-        except ValueError as exc:
-            raise SimulationError(
-                f"non-finite update from client {cid} in round {t}"
-            ) from exc
+            norms[i] = l2_norm(row)
+        except ValueError:
+            pass
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            norms = train(pool.map)
-    else:
-        norms = train(map)
+    models.train_clients(
+        spec, D, state.w_global, [shards[cid].batch for cid in sampled], config.epochs,
+        config.lr, config.batch_size, [round_stream.child("client", cid) for cid in sampled],
+        finish,
+    )
+    for cid, norm in zip(sampled, norms):
+        if norm is None:
+            raise SimulationError(f"non-finite update from client {cid} in round {t}")
 
     avg, S_used, reports = aggregate_round(D, config, norms)
     noise_std = config.sigma * S_used
@@ -256,13 +252,7 @@ def run_round(
     return state, record
 
 
-def run_training(
-    config: FedConfig,
-    spec: ModelSpec,
-    shards,
-    test: LabeledBatch,
-    workers: int = 1,
-):
+def run_training(config: FedConfig, spec: ModelSpec, shards, test: LabeledBatch):
     """Run T rounds from a shared initial model; deterministic in config.seed."""
     if len(shards) != config.K:
         raise ValueError(f"expected {config.K} shards, got {len(shards)}")
@@ -275,6 +265,6 @@ def run_training(
     )
     records = []
     for _ in range(config.T):
-        state, record = run_round(state, shards, config, spec, test, root, workers=workers)
+        state, record = run_round(state, shards, config, spec, test, root)
         records.append(record)
     return state.w_global, records, state.ledger

@@ -231,7 +231,10 @@ def build_scenario(cfg: ExperimentConfig):
     """Generate data, partition into shards, and inject the bias scenario."""
     root = RngStream(cfg.fed.seed)
     train, test = generate(cfg.data, root.child("data"))
-    shards = partition(train, cfg.fed.K, cfg.partition, root.child("partition"))
+    try:  # a split the data cannot fill is a config error
+        shards = partition(train, cfg.fed.K, cfg.partition, root.child("partition"))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if cfg.bias.mode != "clean":
         tag = cfg.bias.tag
         shards = [
@@ -260,8 +263,8 @@ def centralized_baseline(cfg: ExperimentConfig, train: LabeledBatch, test: Label
     return w, models.evaluate(spec, w, test)
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir, workers: int = 1,
-                   scenario=None, cen_eval=None) -> RunSummary:
+def run_experiment(cfg: ExperimentConfig, out_dir, scenario=None,
+                   cen_eval=None) -> RunSummary:
     """Run the federation plus the centralized reference and write artifacts.
 
     ``scenario`` (what build_scenario returns) and ``cen_eval`` (the
@@ -271,7 +274,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, workers: int = 1,
     t0 = time.monotonic()
     train, test, shards = scenario or build_scenario(cfg)
     spec = cfg.model_spec
-    _, records, ledger = run_training(cfg.fed, spec, shards, test, workers=workers)
+    _, records, ledger = run_training(cfg.fed, spec, shards, test)
     if cen_eval is None:
         _, cen_eval = centralized_baseline(cfg, train, test)
 
@@ -309,7 +312,7 @@ _SCENARIO_KEYS = frozenset({"K", "seed"})
 _BASELINE_KEYS = frozenset({"T", "epochs", "lr", "batch_size", "seed"})
 
 
-def run_sweep(configs, param: str, out_root, workers: int = 1) -> list:
+def run_sweep(configs, param: str, out_root) -> list:
     """Run each (name, config) of a one-key federation sweep into out_root/name.
 
     The configs differ only in federation.param. The scenario is built again
@@ -323,8 +326,8 @@ def run_sweep(configs, param: str, out_root, workers: int = 1) -> list:
             scenario = build_scenario(cfg)
         if cen_eval is None or param in _BASELINE_KEYS:
             _, cen_eval = centralized_baseline(cfg, *scenario[:2])
-        summary = run_experiment(cfg, Path(out_root) / name, workers=workers,
-                                 scenario=scenario, cen_eval=cen_eval)
+        summary = run_experiment(cfg, Path(out_root) / name, scenario=scenario,
+                                 cen_eval=cen_eval)
         named.append((name, summary))
     return named
 

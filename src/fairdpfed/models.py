@@ -10,7 +10,9 @@ in row i of a matrix that it updates in place. At each step it groups the
 clients by minibatch size and runs each group's forward and backward passes
 as one stacked matmul per product, which applies to every (n, d) slice the
 kernel that one model's 2-D product uses. Each row therefore ends
-bit-identical to training its client alone, at any worker count.
+bit-identical to training its client alone. A row is set to the start model
+at its client's first step and handed to a caller's hook right after its
+last step, so a wide model's row is finished while it is still in cache.
 :func:`gradient` and :func:`local_train` are the one-model cases of that code.
 """
 
@@ -21,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numeric import ParamVector, RngStream
+from .numeric import ParamVector, RngStream, permutations, require_ints
 
 PROB_CLAMP = 1e-12
 
@@ -35,6 +37,7 @@ class ModelSpec:
     activation: str = "tanh"
 
     def __post_init__(self):
+        require_ints(self, ("n_features", "n_classes", "hidden_units"))
         if self.kind not in ("logistic_regression", "mlp_1hidden"):
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.n_features < 1:
@@ -150,12 +153,9 @@ def init_params(spec: ModelSpec, rng: RngStream) -> ParamVector:
     return rng.generator().uniform(-0.05, 0.05, size=spec.param_dim)
 
 
-def loss(spec: ModelSpec, w: ParamVector, batch: LabeledBatch) -> float:
-    """Mean cross-entropy with probabilities clamped away from 0 and 1."""
-    if len(batch) == 0:
-        raise ValueError("loss of empty batch is undefined")
-    p, _ = _forward(spec, _unflatten(spec, w), batch.features)
-    y = batch.labels
+def _mean_loss(spec: ModelSpec, p: np.ndarray, y: np.ndarray) -> float:
+    """Mean cross-entropy of :func:`_forward`'s probabilities p for labels y,
+    with probabilities clamped away from 0 and 1."""
     if spec.n_out == 1:
         p1 = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
         ll = np.where(y == 1, np.log(p1), np.log(1.0 - p1))
@@ -163,6 +163,14 @@ def loss(spec: ModelSpec, w: ParamVector, batch: LabeledBatch) -> float:
         py = np.clip(p[np.arange(len(y)), y], PROB_CLAMP, 1.0 - PROB_CLAMP)
         ll = np.log(py)
     return float(-np.mean(ll))
+
+
+def loss(spec: ModelSpec, w: ParamVector, batch: LabeledBatch) -> float:
+    """Mean cross-entropy with probabilities clamped away from 0 and 1."""
+    if len(batch) == 0:
+        raise ValueError("loss of empty batch is undefined")
+    p, _ = _forward(spec, _unflatten(spec, w), batch.features)
+    return _mean_loss(spec, p, batch.labels)
 
 
 def _gradients(spec: ModelSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -206,9 +214,11 @@ def gradient(spec: ModelSpec, w: ParamVector, batch: LabeledBatch) -> ParamVecto
 
 # A group step holds a few (g, P) float64 blocks at once (parameters,
 # gradient, their parts). A group steps at most GROUP_BYTES // (8 * P) rows at
-# a time, so those blocks stay within a 1-2 MB L2 cache: a 28,426-parameter
-# model steps one row at a time, a 21-parameter one a thousand.
-GROUP_BYTES = 1 << 18
+# a time, so those blocks, and the rows a caller's hook then finishes, stay
+# within a 2 MB L2 cache: a 28,426-parameter model steps two rows at a time
+# (its rounds ran ~9% faster than one row at a time, and no faster with
+# four), a 21-parameter one three thousand.
+GROUP_BYTES = 1 << 19
 
 
 def _schedule(sizes: list, batch_size: int, max_rows: int) -> list:
@@ -248,52 +258,57 @@ def _schedule(sizes: list, batch_size: int, max_rows: int) -> list:
 def train_clients(
     spec: ModelSpec,
     W: np.ndarray,
+    w0: ParamVector,
     batches: list,
     epochs: int,
     lr: float,
     batch_size: int,
     rngs: list,
-    map_fn=map,
+    finish=None,
 ) -> None:
-    """Minibatch SGD for m clients at once, client i in row i of W.
+    """Minibatch SGD for m clients at once from the start model w0, client i
+    in row i of W.
 
-    Client i trains on batches[i]; row i of W holds its starting model and is
-    updated in place. Each epoch, client i reshuffles its shard with a
-    permutation from rngs[i].child("epoch", e) and steps through it
-    batch_size rows at a time. At each step the clients whose minibatch has
-    the same row count form a group, whose forward and backward passes run as
-    one stacked matmul per product (see :func:`_gradients`), so every row ends
-    bit-identical to training its client alone. ``map_fn`` runs the groups of
-    one step, whose rows are disjoint; a thread pool's map may run them
-    concurrently.
+    Client i trains on batches[i]. Row i of W is set to w0 at the client's
+    first step (whatever W held before is ignored) and updated in place. Each
+    epoch, client i reshuffles its shard with a permutation from
+    rngs[i].child("epoch", e) and steps through it batch_size rows at a time.
+    At each step the clients whose minibatch has the same row count form a
+    group, whose forward and backward passes run as one stacked matmul per
+    product (see :func:`_gradients`), so every row ends bit-identical to
+    training its client alone. Right after client i's last step, finish(i)
+    is called, once per client, in the order the steps run.
     """
     sizes = [len(b) for b in batches]
     if min(sizes) < 1:
         raise ValueError("cannot train on an empty shard")
     steps = _schedule(sizes, batch_size, max(1, GROUP_BYTES // (8 * spec.param_dim)))
-
-    def step(group):  # perms: this epoch's shuffles
-        rows, members, start, n = group
-        X = np.empty((len(members), n, spec.n_features))
-        y = np.empty((len(members), n), dtype=np.int64)
-        for j, i in enumerate(members):
-            # a permutation's indices are in range, so "clip" only skips the
-            # buffered bounds check that the default mode makes with out=
-            k = perms[i][start : start + n]
-            batches[i].features.take(k, axis=0, out=X[j], mode="clip")
-            batches[i].labels.take(k, out=y[j], mode="clip")
-        Wg = W[rows]  # a view when the rows are contiguous, else a copy
-        G = _gradients(spec, Wg, X, y)
-        G *= lr
-        Wg -= G
-        if not isinstance(rows, slice):
-            W[rows] = Wg
+    last_step = [(n - 1) // batch_size for n in sizes]
 
     for e in range(epochs):
-        perms = [rng.child("epoch", e).generator().permutation(n)
-                 for rng, n in zip(rngs, sizes)]
-        for groups in steps:
-            list(map_fn(step, groups))
+        perms = permutations([rng.child("epoch", e) for rng in rngs], sizes)
+        for s, groups in enumerate(steps):
+            for rows, members, start, n in groups:
+                X = np.empty((len(members), n, spec.n_features))
+                y = np.empty((len(members), n), dtype=np.int64)
+                for j, i in enumerate(members):
+                    # a permutation's indices are in range, so "clip" only
+                    # skips the buffered bounds check the default mode makes
+                    k = perms[i][start : start + n]
+                    batches[i].features.take(k, axis=0, out=X[j], mode="clip")
+                    batches[i].labels.take(k, out=y[j], mode="clip")
+                Wg = W[rows]  # a view when the rows are contiguous, else a copy
+                if e == 0 and s == 0:  # every client's first step
+                    Wg[...] = w0
+                G = _gradients(spec, Wg, X, y)
+                G *= lr
+                Wg -= G
+                if not isinstance(rows, slice):
+                    W[rows] = Wg
+                if finish is not None and e == epochs - 1:
+                    for i in members:
+                        if last_step[i] == s:
+                            finish(i)
 
 
 def local_train(
@@ -306,23 +321,18 @@ def local_train(
     rng: RngStream,
 ) -> ParamVector:
     """Mini-batch SGD for one client (:func:`train_clients` with one row)."""
-    W = np.array(w0, dtype=np.float64, copy=True)[None]
-    train_clients(spec, W, [batch], epochs, lr, batch_size, [rng])
+    W = np.array(w0, dtype=np.float64)[None]  # a copy, returned as is at 0 epochs
+    train_clients(spec, W, w0, [batch], epochs, lr, batch_size, [rng])
     return W[0]
 
 
-def predict(spec: ModelSpec, w: ParamVector, X: np.ndarray) -> np.ndarray:
-    """Class predictions; ties break toward the lowest class index."""
-    p, _ = _forward(spec, _unflatten(spec, w), X)
-    if spec.n_out == 1:
-        return (p > 0.5).astype(np.int64)
-    return np.argmax(p, axis=1)
-
-
 def evaluate(spec: ModelSpec, w: ParamVector, data: LabeledBatch) -> EvalMetrics:
+    """Accuracy (ties break toward the lowest class index), per-group accuracy
+    and :func:`loss`, from one forward pass over data."""
     if len(data) == 0:
         raise ValueError("cannot evaluate on empty data")
-    yhat = predict(spec, w, data.features)
+    p, _ = _forward(spec, _unflatten(spec, w), data.features)
+    yhat = (p > 0.5).astype(np.int64) if spec.n_out == 1 else np.argmax(p, axis=1)
     correct = yhat == data.labels
     per_group = {}
     for g in np.unique(data.groups):
@@ -331,5 +341,5 @@ def evaluate(spec: ModelSpec, w: ParamVector, data: LabeledBatch) -> EvalMetrics
     return EvalMetrics(
         accuracy=float(np.mean(correct)),
         per_group_accuracy=per_group,
-        loss=loss(spec, w, data),
+        loss=_mean_loss(spec, p, data.labels),
     )

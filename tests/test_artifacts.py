@@ -1,4 +1,4 @@
-"""The presets' rounds.jsonl, pinned by sha256 at --workers 1 and 4.
+"""The presets' rounds.jsonl, pinned by sha256.
 
 A change that is meant to keep the simulator's outputs (a refactor, a
 speed-up) must leave these bytes alone. The hashes are re-recorded only by a
@@ -23,9 +23,12 @@ ROUNDS_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("runs", [1, 4])
 @pytest.mark.parametrize("preset", sorted(ROUNDS_SHA256))
-def test_preset_rounds_bytes_pinned(tmp_path, preset, workers):
-    run_experiment(preset_config(preset), tmp_path, workers=workers)
-    digest = hashlib.sha256((tmp_path / "rounds.jsonl").read_bytes()).hexdigest()
-    assert digest == ROUNDS_SHA256[preset]
+def test_preset_rounds_bytes_pinned(tmp_path, preset, runs):
+    """Every run of a preset in one process writes the pinned bytes: no state
+    (a reused generator, a cache) carries from one run into the next."""
+    for k in range(runs):
+        run_experiment(preset_config(preset), tmp_path / str(k))
+        digest = hashlib.sha256((tmp_path / str(k) / "rounds.jsonl").read_bytes()).hexdigest()
+        assert digest == ROUNDS_SHA256[preset]

@@ -59,6 +59,17 @@ class TestRun:
         assert rc == 2
         assert err.startswith("config error:") and "Traceback" not in err
 
+    def test_infeasible_dirichlet_split_exit_code(self, tmp_path, capsys):
+        raw = {"data": {"n_examples": 300, "n_features": 5},
+               "partition": {"kind": "dirichlet_label_skew", "alpha": 0.1},
+               "federation": {"K": 50, "T": 1}}
+        rc = main(["--quiet", "--out", str(tmp_path / "run"), "run",
+                   write_config(tmp_path, raw)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert "partition.alpha" in err and "federation.K" in err
+
     def test_missing_file_exit_code(self, tmp_path):
         rc = main(["--quiet", "run", str(tmp_path / "absent.json")])
         assert rc in (2, 4)

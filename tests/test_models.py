@@ -1,6 +1,4 @@
 import math
-import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -186,9 +184,9 @@ class TestTrainClients:
         return [s.batch for s in partition(train, 9, scheme, RngStream(3).child("p"))]
 
     @pytest.mark.parametrize("spec", [LOGREG, SOFTMAX, MLP], ids=["binary", "softmax", "mlp"])
-    @pytest.mark.parametrize("workers", [1, 2, 8])
+    @pytest.mark.parametrize("epochs", [1, 2, 8])
     @pytest.mark.parametrize("small_groups", [False, True])
-    def test_matches_per_client_loop_bit_for_bit(self, monkeypatch, spec, workers,
+    def test_matches_per_client_loop_bit_for_bit(self, monkeypatch, spec, epochs,
                                                   small_groups):
         batches = self.shards(spec)
         sizes = [len(b) for b in batches]
@@ -198,17 +196,38 @@ class TestTrainClients:
             monkeypatch.setattr(models, "GROUP_BYTES", 2 * 8 * spec.param_dim)
         w0 = models.init_params(spec, RngStream(4).child("init"))
         rngs = [RngStream(4).child("client", i) for i in range(len(batches))]
-        W = np.tile(w0, (len(batches), 1))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                models.train_clients(spec, W, batches, 2, 0.1, bs, rngs,
-                                     pool.map if workers > 1 else map)
-        finally:
-            sys.setswitchinterval(interval)
+        W = np.full((len(batches), spec.param_dim), np.nan)  # rows start from w0
+        models.train_clients(spec, W, w0, batches, epochs, 0.1, bs, rngs)
         for row, batch, rng in zip(W, batches, rngs):
-            assert np.array_equal(row, per_client_sgd(spec, w0, batch, 2, 0.1, bs, rng))
+            assert np.array_equal(row, per_client_sgd(spec, w0, batch, epochs, 0.1, bs, rng))
+
+    @pytest.mark.parametrize("small_groups", [False, True])
+    def test_finish_runs_once_per_client_right_after_its_last_step(self, monkeypatch,
+                                                                   small_groups):
+        batches = self.shards(MLP)
+        sizes = [len(b) for b in batches]
+        bs = self.BATCH_SIZE
+        assert len(set(-(-n // bs) for n in sizes)) > 1  # clients finish at different steps
+        if small_groups:
+            monkeypatch.setattr(models, "GROUP_BYTES", 2 * 8 * MLP.param_dim)
+        w0 = models.init_params(MLP, RngStream(4).child("init"))
+        rngs = [RngStream(4).child("client", i) for i in range(len(batches))]
+        final = [per_client_sgd(MLP, w0, b, 2, 0.1, bs, r) for b, r in zip(batches, rngs)]
+        W = np.empty((len(batches), MLP.param_dim))
+        calls = []
+
+        def finish(i):
+            # the row holds the client's final model: its last step has run
+            assert np.array_equal(W[i], final[i])
+            calls.append(i)
+            W[i] = np.nan  # later steps must not touch a finished row
+
+        models.train_clients(MLP, W, w0, batches, 2, 0.1, bs, rngs, finish)
+        assert sorted(calls) == list(range(len(batches)))
+        # clients with fewer steps finish first
+        steps = [-(-sizes[i] // bs) for i in calls]
+        assert steps == sorted(steps) and calls != sorted(calls)
+        assert np.isnan(W).all()
 
 
 class TestEvaluate:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fairdpfed.numeric import RngStream, gaussian_vector, l2_norm, median
+from fairdpfed.numeric import RngStream, gaussian_vector, l2_norm, median, permutations
 
 
 class TestL2Norm:
@@ -27,6 +27,14 @@ class TestL2Norm:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             l2_norm(np.array([1.0, np.nan]))
+
+    def test_overflowing_sum_of_squares_rejected(self):
+        with np.errstate(over="ignore"), pytest.raises(ValueError):
+            l2_norm(np.array([1e200, 1e200]))
+
+    def test_bit_identical_to_linalg_norm(self):
+        v = np.random.default_rng(5).normal(size=30_000) * 1e-3
+        assert l2_norm(v) == float(np.linalg.norm(v))
 
     @given(st.floats(-1e6, 1e6), st.integers(1, 50), st.integers(0, 2**32 - 1))
     def test_absolute_homogeneity(self, a, dim, seed):
@@ -105,3 +113,38 @@ class TestGaussianVector:
         v = gaussian_vector(RngStream(2024).child("lln"), 2.0, n)
         assert abs(v.mean()) < 4 * 2.0 / 1000
         assert abs(v.var() - 4.0) < 0.04
+
+
+# seeds and indices of one, two and three uint32 words
+WORDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1),
+                  st.integers(2**64, 2**96))
+PATHS = st.lists(st.tuples(st.sampled_from(["round", "client", "epoch", ""]), WORDS),
+                 max_size=4).map(tuple)
+
+
+class TestPermutations:
+    @given(WORDS, st.lists(st.tuples(PATHS, st.integers(0, 40)), min_size=1, max_size=6))
+    def test_equal_to_each_streams_generator(self, seed, drawn):
+        streams = [RngStream(seed, path) for path, _ in drawn]
+        sizes = [n for _, n in drawn]
+        bulk = permutations(streams, sizes)
+        for s, n, perm in zip(streams, sizes, bulk):
+            assert np.array_equal(perm, s.generator().permutation(n))
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 + 3, 2**64 + 5])
+    def test_a_rounds_clients_at_once(self, seed):
+        """The shape train_clients asks for: many clients, one epoch each,
+        sharing every path word up to the client index."""
+        round_stream = RngStream(seed).child("round", 3)
+        streams = [round_stream.child("client", cid).child("epoch", 1)
+                   for cid in [0, 5, 2**32 - 1, 2**32, 2**40 + 9]]
+        sizes = [1, 13, 32, 7, 200]
+        bulk = permutations(streams, sizes)
+        for s, n, perm in zip(streams, sizes, bulk):
+            assert np.array_equal(perm, s.generator().permutation(n))
+
+    def test_streams_of_different_master_seeds(self):
+        streams = [RngStream(seed).child("epoch", 0) for seed in (1, 2, 2**33, 1)]
+        bulk = permutations(streams, [9] * 4)
+        for s, perm in zip(streams, bulk):
+            assert np.array_equal(perm, s.generator().permutation(9))
