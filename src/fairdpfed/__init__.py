@@ -6,7 +6,7 @@ M), averages, and adds Gaussian noise. The harness compares against a
 centralized baseline and tracks per-group accuracy and a nominal privacy cost.
 """
 
-from .numeric import RngStream, gaussian_vector, l2_norm, median
+from .numeric import RngStream, l2_norm
 from .models import EvalMetrics, LabeledBatch, ModelSpec
 from .datagen import BiasTag, ClientShard, DataSpec, PartitionScheme
 from .clipping import ClipReport, clip_by_norm, dual_clip

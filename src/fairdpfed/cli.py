@@ -1,8 +1,9 @@
 """Command line entry point.
 
-  fairdpfed run <config.json | preset-name> [--out DIR] [--seed N]
-  fairdpfed compare <run-dir> [<run-dir> ...] [--out DIR]
-  fairdpfed sweep <config.json | preset-name> --param KEY --values a,b,c [--out DIR]
+  fairdpfed [--out DIR] [--seed N] [--quiet] run <config.json | preset-name>
+  fairdpfed [--out DIR] [--quiet] compare <run-dir> [<run-dir> ...]
+  fairdpfed [--out DIR] [--seed N] [--quiet] sweep <config.json | preset-name>
+            --param KEY --values a,b,c
 
 Exit codes: 0 success, 2 config error, 3 simulation abort, 4 I/O error.
 """

@@ -30,8 +30,10 @@ class DataSpec:
 
     def __post_init__(self):
         require_ints(self, ("n_examples", "n_features", "n_classes", "n_groups"))
-        if self.n_examples < 1 or self.n_features < 1:
-            raise ValueError("n_examples and n_features must be positive")
+        if self.n_examples < 3:  # the fewest whose 80/20 split fills both sides
+            raise ValueError("n_examples must be >= 3")
+        if self.n_features < 1:
+            raise ValueError("n_features must be positive")
         if self.n_classes < 2 or self.n_groups < 2:
             raise ValueError("n_classes and n_groups must be >= 2")
         # each float check is written so that NaN fails it
@@ -121,8 +123,6 @@ def generate(spec: DataSpec, rng: RngStream):
 def partition(train: LabeledBatch, K: int, scheme: PartitionScheme, rng: RngStream):
     """Split train into K disjoint client shards covering every example."""
     n = len(train)
-    if K < 1:
-        raise ValueError("K must be >= 1")
     if K > n:
         raise ValueError(
             f"cannot partition {n} training examples across federation.K={K} clients")

@@ -30,7 +30,7 @@ from . import models
 from .clipping import dual_clip
 from .datagen import BiasTag, ClientShard
 from .models import EvalMetrics, LabeledBatch, ModelSpec
-from .numeric import ParamVector, RngStream, l2_norm, median, require_ints
+from .numeric import ParamVector, RngStream, l2_norm, require_ints
 from .privacy import PrivacyLedger, add_noise, epsilon_per_round
 
 S_FLOOR = 1e-12
@@ -139,15 +139,14 @@ class ServerState:
 
 def sample_clients(K: int, q: float, rng: RngStream) -> list:
     """Uniform sample without replacement of size ceil(q*K), sorted ascending."""
-    m = math.ceil(q * K)
-    if m > K:
-        raise ValueError("sample size exceeds K")
-    ids = rng.generator().choice(K, size=m, replace=False)
+    ids = rng.generator().choice(K, size=math.ceil(q * K), replace=False)
     return sorted(int(i) for i in ids)
 
+
 def adaptive_S(update_norms) -> float:
-    """Median of the round's unclipped update norms, floored away from zero."""
-    return max(median(update_norms), S_FLOOR)
+    """Median of the round's unclipped update norms (finite, as l2_norm
+    checked each, and at least one), floored away from zero."""
+    return max(float(np.median(update_norms)), S_FLOOR)
 
 
 def apply_update_bias(delta: ParamVector, tag: BiasTag, in_place: bool = False) -> ParamVector:

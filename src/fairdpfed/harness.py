@@ -44,17 +44,21 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class BiasScenario:
-    biased_client_ids: tuple = ()
-    mode: str = "clean"
+class BiasScenario(BiasTag):
+    """The bias section: the tag the clients in biased_client_ids carry."""
+
     flip_prob: float = 0.5
     target_group: int = 0
     factor: float = 25.0
+    biased_client_ids: tuple = ()
 
-    @property
-    def tag(self) -> BiasTag:
-        return BiasTag(mode=self.mode, flip_prob=self.flip_prob,
-                       target_group=self.target_group, factor=self.factor)
+    def __post_init__(self):
+        super().__post_init__()
+        ids = self.biased_client_ids
+        if not isinstance(ids, (list, tuple)) or any(
+                isinstance(c, bool) or not isinstance(c, int) for c in ids):
+            raise ValueError(f"bias.biased_client_ids must be a list of integers, got {ids!r}")
+        object.__setattr__(self, "biased_client_ids", tuple(ids))
 
 
 @dataclass(frozen=True)
@@ -66,6 +70,19 @@ class ExperimentConfig:
     fed: FedConfig
     bias: BiasScenario
     emit_csv: bool = False
+
+    def __post_init__(self):
+        """The checks that read two sections, and the output section's."""
+        self.model_spec  # validates model kind against data dimensions
+        for cid in self.bias.biased_client_ids:
+            if not 0 <= cid < self.fed.K:
+                raise ValueError(f"bias.biased_client_ids: client {cid} outside [0, {self.fed.K})")
+        group, n_groups = self.bias.target_group, self.data.n_groups
+        if isinstance(group, bool) or not isinstance(group, int) or not 0 <= group < n_groups:
+            raise ValueError(f"bias.target_group must be an integer in [0, {n_groups}), "
+                             f"got {group!r}")
+        if not isinstance(self.emit_csv, bool):
+            raise ValueError(f"output.emit_csv must be true or false, got {self.emit_csv!r}")
 
     @property
     def model_spec(self) -> ModelSpec:
@@ -122,42 +139,24 @@ def _parse_M(value) -> float:
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     _check_keys(raw)
-    try:
-        data = DataSpec(**raw.get("data", {}))
-        model = raw.get("model", {})
-        part = PartitionScheme(**raw.get("partition", {}))
-        fed_raw = dict(raw.get("federation", {}))
-        if "K" not in fed_raw:
-            raise ConfigError("missing required key federation.K")
-        if "M" in fed_raw:
-            fed_raw["M"] = _parse_M(fed_raw["M"])
-        fed = FedConfig(**fed_raw)
-        bias_raw = dict(raw.get("bias", {}))
-        if "biased_client_ids" in bias_raw:
-            bias_raw["biased_client_ids"] = tuple(bias_raw["biased_client_ids"])
-        bias = BiasScenario(**bias_raw)
-        out = raw.get("output", {})
-        cfg = ExperimentConfig(
-            data=data,
+    fed_raw = dict(raw.get("federation", {}))
+    if "K" not in fed_raw:
+        raise ConfigError("missing required key federation.K")
+    if "M" in fed_raw:
+        fed_raw["M"] = _parse_M(fed_raw["M"])
+    model = raw.get("model", {})
+    try:  # each section's dataclass checks its own values
+        return ExperimentConfig(
+            data=DataSpec(**raw.get("data", {})),
             model_kind=model.get("kind", "logistic_regression"),
             hidden_units=model.get("hidden_units", 0),
-            partition=part,
-            fed=fed,
-            bias=bias,
-            emit_csv=bool(out.get("emit_csv", False)),
+            partition=PartitionScheme(**raw.get("partition", {})),
+            fed=FedConfig(**fed_raw),
+            bias=BiasScenario(**raw.get("bias", {})),
+            emit_csv=raw.get("output", {}).get("emit_csv", False),
         )
-        cfg.model_spec  # validates model kind against data dimensions
-        cfg.bias.tag  # validates bias mode, flip_prob and factor
-    except ConfigError:
-        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    for cid in cfg.bias.biased_client_ids:
-        if not 0 <= cid < cfg.fed.K:
-            raise ConfigError(
-                f"bias.biased_client_ids: client {cid} outside [0, {cfg.fed.K})"
-            )
-    return cfg
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -236,9 +235,8 @@ def build_scenario(cfg: ExperimentConfig):
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if cfg.bias.mode != "clean":
-        tag = cfg.bias.tag
         shards = [
-            inject_bias(s, tag, root.child("bias", s.client_id))
+            inject_bias(s, cfg.bias, root.child("bias", s.client_id))
             if s.client_id in cfg.bias.biased_client_ids
             else s
             for s in shards

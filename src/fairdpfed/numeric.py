@@ -1,4 +1,4 @@
-"""Deterministic numeric kernels: flat vectors, norms, medians, seeded Gaussians.
+"""Deterministic numeric kernels: flat vectors, norms, seeded substreams.
 
 All randomness in the simulator flows through :class:`RngStream`, an immutable
 handle over a counter-based generator (Philox). Substreams are derived by
@@ -42,16 +42,6 @@ def require_ints(obj, names) -> None:
         value = getattr(obj, name)
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def median(xs) -> float:
-    """Median of finite reals; even lengths average the two middle values."""
-    a = np.asarray(xs, dtype=np.float64)
-    if a.size == 0:
-        raise ValueError("median of empty sequence is undefined")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("median input contains non-finite entries")
-    return float(np.median(a))
 
 
 @dataclass(frozen=True)
@@ -203,18 +193,3 @@ def permutations(streams, sizes) -> list:
         bit_generator.state = state
         out.append(generator.permutation(n))
     return out
-
-
-def gaussian_vector(rng: RngStream, std: float, dim: int) -> ParamVector:
-    """dim i.i.d. draws from Normal(0, std^2); std=0 yields the zero vector.
-
-    Pure in its arguments: calling twice with the same stream returns the
-    same vector. Callers wanting fresh draws derive a new child stream.
-    """
-    if std < 0:
-        raise ValueError("gaussian std must be non-negative")
-    if dim < 1:
-        raise ValueError("dim must be positive")
-    if std == 0:
-        return np.zeros(dim, dtype=np.float64)
-    return rng.generator().normal(0.0, std, size=dim)

@@ -7,6 +7,9 @@ compose with basic composition: (sum of epsilons, T * delta).
 
 The reported epsilon is nominal: when S is the data-dependent median of the
 round's update norms, the fixed-sensitivity argument does not strictly apply.
+
+S, sigma, delta and m_t arrive here already checked: FedConfig owns their
+ranges, and the round floors S at S_FLOOR and samples at least one client.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .numeric import ParamVector, RngStream, gaussian_vector
+from .numeric import ParamVector, RngStream
 
 EPS_CAVEAT = (
     "nominal epsilon: computed under a fixed-S assumption; adaptive S is "
@@ -24,11 +27,9 @@ EPS_CAVEAT = (
 
 def add_noise(avg_update: ParamVector, S: float, sigma: float, rng: RngStream) -> ParamVector:
     """Add N(0, (sigma*S)^2) noise per coordinate; sigma=0 is the identity."""
-    if S <= 0:
-        raise ValueError("S must be positive")
     if sigma == 0:
         return avg_update
-    return avg_update + gaussian_vector(rng, sigma * S, avg_update.shape[0])
+    return avg_update + rng.generator().normal(0.0, sigma * S, size=avg_update.shape[0])
 
 
 def epsilon_per_round(
@@ -39,12 +40,6 @@ def epsilon_per_round(
     sqrt(2 ln(1.25/delta)) / (sigma * m_t) for remove-one adjacency; doubled
     for replace-one. sigma=0 reports the +inf sentinel (no noise, no bound).
     """
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
-    if not 0.0 < delta_dp < 1.0:
-        raise ValueError("delta_dp must be strictly between 0 and 1")
-    if m_t < 1:
-        raise ValueError("m_t must be >= 1")
     if sigma == 0:
         return math.inf
     eps = math.sqrt(2.0 * math.log(1.25 / delta_dp)) / (sigma * m_t)
@@ -61,8 +56,6 @@ class PrivacyLedger:
     rounds: list = field(default_factory=list)
 
     def record(self, round_index: int, S_used: float, sigma: float, eps_round: float):
-        if eps_round < 0:
-            raise ValueError("eps_round must be >= 0")
         self.rounds.append(
             {
                 "round_index": round_index,
@@ -76,7 +69,3 @@ class PrivacyLedger:
     def eps_total_basic(self) -> float:
         # fsum: correctly rounded, so T equal rounds total exactly T * eps
         return math.fsum(r["eps_round"] for r in self.rounds)
-
-    @property
-    def delta_total(self) -> float:
-        return self.delta_dp * len(self.rounds)

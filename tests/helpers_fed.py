@@ -98,4 +98,16 @@ BAD_VALUES = {
     **{f"alpha_{name}": {"partition": {"kind": "dirichlet_label_skew", "alpha": value},
                          "federation": {"K": 4}}
        for name, value in (("nan", math.nan), ("inf", math.inf))},
+    # too few examples for the 80/20 split to leave a test row
+    "n_examples_2": {"data": {"n_examples": 2}, "federation": {"K": 1, "T": 1}},
+    # biased clients are a list of integer ids, target_group an integer group
+    **{f"biased_client_ids_{name}": {"federation": {"K": 4},
+                                     "bias": {"biased_client_ids": ids,
+                                              "mode": "update_scale"}}
+       for name, ids in (("float", [0.5]), ("bool", [True]), ("string", "01"))},
+    **{f"target_group_{name}": {"federation": {"K": 4},
+                                "bias": {"biased_client_ids": [0], "mode": "label_flip",
+                                         "target_group": group}}
+       for name, group in (("out_of_range", 9), ("float", 0.5))},
+    "emit_csv_string": {"federation": {"K": 4}, "output": {"emit_csv": "false"}},
 }

@@ -46,6 +46,9 @@ class TestAdaptiveS:
     def test_two_equal(self):
         assert adaptive_S([2.0, 2.0]) == 2.0
 
+    def test_even_count_averages_the_middle_two(self):
+        assert adaptive_S([1.0, 3.0]) == 2.0
+
     def test_robust_to_outlier(self):
         assert adaptive_S([1.0, 5.0, 100.0]) == 5.0
 

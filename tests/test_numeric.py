@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fairdpfed.numeric import RngStream, gaussian_vector, l2_norm, median, permutations
+from fairdpfed.numeric import RngStream, l2_norm, permutations
 
 
 class TestL2Norm:
@@ -44,51 +44,29 @@ class TestL2Norm:
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
-class TestMedian:
-    def test_singleton(self):
-        assert median([5.0]) == 5.0
-
-    def test_odd(self):
-        assert median([1.0, 3.0, 2.0]) == 2.0
-
-    def test_even_mean_of_middles(self):
-        assert median([1.0, 2.0, 3.0, 4.0]) == 2.5
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            median([])
-
-    @given(st.lists(st.floats(-1e9, 1e9), min_size=1, max_size=30),
-           st.randoms(use_true_random=False))
-    def test_permutation_invariant(self, xs, rnd):
-        shuffled = list(xs)
-        rnd.shuffle(shuffled)
-        assert median(shuffled) == median(xs)
-
-
 class TestRngStream:
     def test_same_path_same_samples(self):
         a = RngStream(123).child("noise", 4)
         b = RngStream(123).child("noise", 4)
-        assert np.array_equal(gaussian_vector(a, 1.0, 10), gaussian_vector(b, 1.0, 10))
+        assert np.array_equal(a.generator().normal(size=10), b.generator().normal(size=10))
 
     def test_distinct_paths_differ(self):
         r = RngStream(123)
-        a = gaussian_vector(r.child("noise", 0), 1.0, 10)
-        b = gaussian_vector(r.child("noise", 1), 1.0, 10)
-        c = gaussian_vector(r.child("init", 0), 1.0, 10)
+        a = r.child("noise", 0).generator().normal(size=10)
+        b = r.child("noise", 1).generator().normal(size=10)
+        c = r.child("init", 0).generator().normal(size=10)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_independent_of_call_order(self):
         r = RngStream(9)
         first_then_second = (
-            gaussian_vector(r.child("a"), 1.0, 5),
-            gaussian_vector(r.child("b"), 1.0, 5),
+            r.child("a").generator().normal(size=5),
+            r.child("b").generator().normal(size=5),
         )
         second_then_first = (
-            gaussian_vector(r.child("b"), 1.0, 5),
-            gaussian_vector(r.child("a"), 1.0, 5),
+            r.child("b").generator().normal(size=5),
+            r.child("a").generator().normal(size=5),
         )
         assert np.array_equal(first_then_second[0], second_then_first[1])
         assert np.array_equal(first_then_second[1], second_then_first[0])
@@ -97,22 +75,6 @@ class TestRngStream:
         r = RngStream(1)
         with pytest.raises(AttributeError):
             r.master_seed = 2
-
-
-class TestGaussianVector:
-    def test_zero_std_is_zero_vector(self):
-        v = gaussian_vector(RngStream(0), 0.0, 3)
-        assert np.array_equal(v, np.zeros(3))
-
-    def test_negative_std_rejected(self):
-        with pytest.raises(ValueError):
-            gaussian_vector(RngStream(0), -1.0, 3)
-
-    def test_law_of_large_numbers(self):
-        n = 10**6
-        v = gaussian_vector(RngStream(2024).child("lln"), 2.0, n)
-        assert abs(v.mean()) < 4 * 2.0 / 1000
-        assert abs(v.var() - 4.0) < 0.04
 
 
 # seeds and indices of one, two and three uint32 words

@@ -32,10 +32,6 @@ class TestAddNoise:
         kurt = np.mean(z**4)
         assert 2.9 <= kurt <= 3.1
 
-    def test_bad_S(self):
-        with pytest.raises(ValueError):
-            add_noise(np.zeros(3), S=0.0, sigma=1.0, rng=RngStream(0))
-
 
 class TestEpsilonPerRound:
     def test_closed_form(self):
@@ -63,12 +59,6 @@ class TestEpsilonPerRound:
         base = epsilon_per_round(2.0, 1e-5, 1)
         assert epsilon_per_round(2.0, 1e-5, 1, adjacency="replace_one") == pytest.approx(2 * base)
 
-    def test_invalid_delta(self):
-        with pytest.raises(ValueError):
-            epsilon_per_round(1.0, 0.0, 1)
-        with pytest.raises(ValueError):
-            epsilon_per_round(1.0, 1.0, 1)
-
 
 class TestPrivacyParams:
     """The privacy values sigma, delta_dp and adjacency are checked by FedConfig."""
@@ -91,14 +81,12 @@ class TestLedger:
         ledger = PrivacyLedger(delta_dp=1e-5)
         ledger.record(0, S_used=1.0, sigma=2.0, eps_round=0.5)
         assert ledger.eps_total_basic == 0.5
-        assert ledger.delta_total == pytest.approx(1e-5)
 
     def test_basic_composition(self):
         ledger = PrivacyLedger(delta_dp=1e-6)
         for t in range(7):
             ledger.record(t, 1.0, 2.0, 0.3)
         assert ledger.eps_total_basic == pytest.approx(7 * 0.3)
-        assert ledger.delta_total == pytest.approx(7e-6)
 
     def test_permutation_invariant_totals(self):
         a = PrivacyLedger(delta_dp=1e-5)
@@ -109,8 +97,3 @@ class TestLedger:
         for t, e in enumerate(reversed(eps)):
             b.record(t, 1.0, 1.0, e)
         assert a.eps_total_basic == pytest.approx(b.eps_total_basic)
-
-    def test_negative_eps_rejected(self):
-        ledger = PrivacyLedger(delta_dp=1e-5)
-        with pytest.raises(ValueError):
-            ledger.record(0, 1.0, 1.0, -0.1)
