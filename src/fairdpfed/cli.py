@@ -99,7 +99,8 @@ def _cmd_sweep(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="fairdpfed", description=__doc__)
+    parser = argparse.ArgumentParser(prog="fairdpfed", description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--quiet", action="store_true", help="suppress stdout report")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .models import LabeledBatch
-from .numeric import RngStream, require_ints
+from .numeric import RngStream, check_types
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class DataSpec:
     group_correlation: float = 0.0
 
     def __post_init__(self):
-        require_ints(self, ("n_examples", "n_features", "n_classes", "n_groups"))
+        check_types(self)
         if self.n_examples < 3:  # the fewest whose 80/20 split fills both sides
             raise ValueError("n_examples must be >= 3")
         if self.n_features < 1:
@@ -53,6 +53,7 @@ class BiasTag:
     factor: float = 1.0
 
     def __post_init__(self):
+        check_types(self)
         if self.mode not in ("clean", "label_flip", "update_scale"):
             raise ValueError(f"unknown bias mode {self.mode!r}")
         if not 0.0 <= self.flip_prob <= 1.0:
@@ -74,6 +75,7 @@ class PartitionScheme:
     alpha: float = 1.0
 
     def __post_init__(self):
+        check_types(self)
         if self.kind not in ("iid", "dirichlet_label_skew"):
             raise ValueError(f"unknown partition kind {self.kind!r}")
         if self.kind == "dirichlet_label_skew" and not 0.0 < self.alpha < math.inf:
@@ -163,8 +165,6 @@ def inject_bias(shard: ClientShard, tag: BiasTag, rng: RngStream) -> ClientShard
     update_scale only tags the shard, the distortion is applied to the
     transmitted update by the server loop.
     """
-    if shard.bias_tag.mode != "clean":
-        raise ValueError("inject_bias requires a clean shard")
     if tag.mode == "clean":
         return shard
     if tag.mode == "update_scale":

@@ -28,9 +28,9 @@ import numpy as np
 
 from . import models
 from .clipping import dual_clip
-from .datagen import BiasTag, ClientShard
+from .datagen import BiasTag
 from .models import EvalMetrics, LabeledBatch, ModelSpec
-from .numeric import ParamVector, RngStream, l2_norm, require_ints
+from .numeric import ParamVector, RngStream, check_types, l2_norm
 from .privacy import PrivacyLedger, add_noise, epsilon_per_round
 
 S_FLOOR = 1e-12
@@ -57,7 +57,7 @@ class FedConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_ints(self, ("K", "T", "epochs", "batch_size", "seed"))
+        check_types(self)
         if self.K < 1:
             raise ValueError("K must be >= 1")
         if self.T < 1:
@@ -79,6 +79,7 @@ class FedConfig:
             raise ValueError("S_fixed must be a finite number > 0")
         if not self.M > 0:
             raise ValueError("M must be > 0 (use inf to disable)")
+        object.__setattr__(self, "M", float(self.M))  # so "M": 1 is echoed as 1.0
         if not 0.0 <= self.sigma < math.inf:
             raise ValueError("sigma must be a finite number >= 0")
         if not 0.0 < self.delta_dp < 1.0:
@@ -149,27 +150,23 @@ def adaptive_S(update_norms) -> float:
     return max(float(np.median(update_norms)), S_FLOOR)
 
 
-def apply_update_bias(delta: ParamVector, tag: BiasTag, in_place: bool = False) -> ParamVector:
-    """Realize update-level bias at transmission time (direction preserved)."""
+def apply_update_bias(delta: ParamVector, tag: BiasTag) -> None:
+    """Realize update-level bias in place at transmission time (direction preserved)."""
     if tag.mode == "update_scale":
-        return np.multiply(delta, tag.factor, out=delta if in_place else None)
-    return delta
+        delta *= tag.factor
 
 
-def aggregate_round(deltas, config: FedConfig, norms=None):
+def aggregate_round(D: np.ndarray, config: FedConfig, norms: list):
     """Pick S, dual-clip each update, and average with 1/m_t.
 
-    ``deltas`` is the round's (m_t, P) float64 update matrix, or a sequence of
-    updates; it is left unchanged. ``norms`` are the updates' norms, when the
-    caller has already taken them (and so checked the updates finite). Each
-    update is clipped into one reused vector and added to a running total in
-    order, which is how D.sum(axis=0) adds the rows of a C-contiguous matrix,
-    so the average is bit-identical to summing the clipped matrix.
+    ``D`` is the round's (m_t, P) float64 update matrix; it is left
+    unchanged. ``norms`` are its rows' norms, which l2_norm took (and so
+    checked the rows finite). Each row is clipped into one reused vector and
+    added to a running total in order, which is how D.sum(axis=0) adds the
+    rows of a C-contiguous matrix, so the average is bit-identical to summing
+    the clipped matrix.
     Returns (averaged update, S_used, list of ClipReport).
     """
-    D = np.asarray(deltas, dtype=np.float64)
-    if norms is None:
-        norms = [l2_norm(row) for row in D]
     S = adaptive_S(norms) if config.S_policy == "median_adaptive" else config.S_fixed
     total = np.zeros(D.shape[1])
     clipped = np.empty_like(total)
@@ -202,7 +199,7 @@ def run_round(
         """Turn row i into client i's transmitted difference and take its norm."""
         row = D[i]
         np.subtract(row, state.w_global, out=row)
-        apply_update_bias(row, shards[sampled[i]].bias_tag, in_place=True)
+        apply_update_bias(row, shards[sampled[i]].bias_tag)
         try:
             norms[i] = l2_norm(row)
         except ValueError:
@@ -253,8 +250,6 @@ def run_round(
 
 def run_training(config: FedConfig, spec: ModelSpec, shards, test: LabeledBatch):
     """Run T rounds from a shared initial model; deterministic in config.seed."""
-    if len(shards) != config.K:
-        raise ValueError(f"expected {config.K} shards, got {len(shards)}")
     root = RngStream(config.seed)
     w0 = models.init_params(spec, root.child("init"))
     state = ServerState(

@@ -28,19 +28,19 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, asdict, field, fields
 from pathlib import Path
 
 from . import models
 from .datagen import BiasTag, DataSpec, PartitionScheme, generate, inject_bias, partition
 from .federation import FedConfig, run_training
 from .models import LabeledBatch, ModelSpec
-from .numeric import RngStream
+from .numeric import RngStream, check_types
 from .privacy import EPS_CAVEAT
 
 
 class ConfigError(ValueError):
-    """Invalid or malformed experiment configuration."""
+    """Invalid or malformed experiment configuration, or run summary."""
 
 
 @dataclass(frozen=True)
@@ -57,41 +57,36 @@ class BiasScenario(BiasTag):
         ids = self.biased_client_ids
         if not isinstance(ids, (list, tuple)) or any(
                 isinstance(c, bool) or not isinstance(c, int) for c in ids):
-            raise ValueError(f"bias.biased_client_ids must be a list of integers, got {ids!r}")
+            raise ValueError(f"biased_client_ids must be a list of integers, got {ids!r}")
         object.__setattr__(self, "biased_client_ids", tuple(ids))
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     data: DataSpec
-    model_kind: str
-    hidden_units: int
+    model_kind: str = field(metadata={"key": "model.kind"})
+    hidden_units: int = field(metadata={"key": "model.hidden_units"})
     partition: PartitionScheme
     fed: FedConfig
     bias: BiasScenario
-    emit_csv: bool = False
+    emit_csv: bool = field(default=False, metadata={"key": "output.emit_csv"})
 
     def __post_init__(self):
-        """The checks that read two sections, and the output section's."""
-        self.model_spec  # validates model kind against data dimensions
+        """The model and output sections' checks, and those that read two sections."""
+        check_types(self)
+        self.model_spec  # checks the model section against the data dimensions
         for cid in self.bias.biased_client_ids:
             if not 0 <= cid < self.fed.K:
                 raise ValueError(f"bias.biased_client_ids: client {cid} outside [0, {self.fed.K})")
-        group, n_groups = self.bias.target_group, self.data.n_groups
-        if isinstance(group, bool) or not isinstance(group, int) or not 0 <= group < n_groups:
-            raise ValueError(f"bias.target_group must be an integer in [0, {n_groups}), "
-                             f"got {group!r}")
-        if not isinstance(self.emit_csv, bool):
-            raise ValueError(f"output.emit_csv must be true or false, got {self.emit_csv!r}")
+        if not 0 <= self.bias.target_group < self.data.n_groups:
+            raise ValueError(f"bias.target_group must be in [0, {self.data.n_groups}), "
+                             f"got {self.bias.target_group}")
 
     @property
     def model_spec(self) -> ModelSpec:
-        return ModelSpec(
-            kind=self.model_kind,
-            n_features=self.data.n_features,
-            n_classes=self.data.n_classes,
-            hidden_units=self.hidden_units,
-        )
+        return _section("model", ModelSpec, dict(
+            kind=self.model_kind, hidden_units=self.hidden_units,
+            n_features=self.data.n_features, n_classes=self.data.n_classes))
 
 
 @dataclass(frozen=True)
@@ -129,12 +124,12 @@ def _check_keys(raw: dict) -> None:
                 raise ConfigError(f"unknown key {section}.{key}")
 
 
-def _parse_M(value) -> float:
-    if value == "inf":
-        return math.inf
-    if isinstance(value, (int, float)):
-        return float(value)
-    raise ConfigError('federation.M must be a number or "inf"')
+def _section(name: str, cls, body: dict):
+    """cls(**body), the section's dataclass; a value it rejects names the section."""
+    try:
+        return cls(**body)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -142,20 +137,21 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     fed_raw = dict(raw.get("federation", {}))
     if "K" not in fed_raw:
         raise ConfigError("missing required key federation.K")
-    if "M" in fed_raw:
-        fed_raw["M"] = _parse_M(fed_raw["M"])
+    if fed_raw.get("M") == "inf":
+        fed_raw["M"] = math.inf
+    data = _section("data", DataSpec, raw.get("data", {}))
+    partition = _section("partition", PartitionScheme, raw.get("partition", {}))
+    fed = _section("federation", FedConfig, fed_raw)
+    bias = _section("bias", BiasScenario, raw.get("bias", {}))
     model = raw.get("model", {})
-    try:  # each section's dataclass checks its own values
+    try:  # these messages name their own section or key path
         return ExperimentConfig(
-            data=DataSpec(**raw.get("data", {})),
+            data=data, partition=partition, fed=fed, bias=bias,
             model_kind=model.get("kind", "logistic_regression"),
             hidden_units=model.get("hidden_units", 0),
-            partition=PartitionScheme(**raw.get("partition", {})),
-            fed=FedConfig(**fed_raw),
-            bias=BiasScenario(**raw.get("bias", {})),
             emit_csv=raw.get("output", {}).get("emit_csv", False),
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -173,15 +169,20 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     }
 
 
-def parse_config(path) -> ExperimentConfig:
+def _read_object(path) -> dict:
+    """The JSON object the file at path holds; ConfigError if it holds anything else."""
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(raw, dict):
+    if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    return config_from_dict(raw)
+    return doc
+
+
+def parse_config(path) -> ExperimentConfig:
+    return config_from_dict(_read_object(path))
 
 
 # --- scenario presets -------------------------------------------------------
@@ -348,9 +349,12 @@ def _write_rounds_csv(records, path) -> None:
 
 
 def load_summary(run_dir) -> RunSummary:
-    with open(Path(run_dir) / "summary.json") as fh:
-        doc = json.load(fh)
-    return RunSummary(**{k: doc[k] for k in RunSummary.__dataclass_fields__})
+    path = Path(run_dir) / "summary.json"
+    doc = _read_object(path)
+    try:
+        return RunSummary(**{k: doc[k] for k in RunSummary.__dataclass_fields__})
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing key {exc.args[0]}") from exc
 
 
 _COMPARE_COLUMNS = ["run", "A_Fed", "A_Cen", "delta_acc", "per_group_gap",
@@ -358,10 +362,7 @@ _COMPARE_COLUMNS = ["run", "A_Fed", "A_Cen", "delta_acc", "per_group_gap",
 
 
 def compare_runs(named_summaries) -> tuple[str, str]:
-    """Tabulate >= 2 run summaries; returns (text table, CSV text)."""
-    named_summaries = list(named_summaries)
-    if len(named_summaries) < 2:
-        raise ValueError("compare_runs needs at least two summaries")
+    """Tabulate run summaries; returns (text table, CSV text)."""
     rows = [
         [name, s.A_Fed, s.A_Cen, s.delta_acc, s.per_group_gap, s.eps_total_nominal]
         for name, s in named_summaries

@@ -18,12 +18,12 @@ last step, so a wide model's row is finished while it is still in cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .numeric import ParamVector, RngStream, permutations, require_ints
+from .numeric import ParamVector, RngStream, check_types, permutations
 
 PROB_CLAMP = 1e-12
 
@@ -34,20 +34,13 @@ class ModelSpec:
     n_features: int
     n_classes: int = 2
     hidden_units: int = 0
-    activation: str = "tanh"
 
     def __post_init__(self):
-        require_ints(self, ("n_features", "n_classes", "hidden_units"))
+        check_types(self)
         if self.kind not in ("logistic_regression", "mlp_1hidden"):
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.n_features < 1:
-            raise ValueError("n_features must be positive")
-        if self.n_classes < 2:
-            raise ValueError("n_classes must be >= 2")
         if self.kind == "mlp_1hidden" and self.hidden_units < 1:
             raise ValueError("mlp_1hidden requires hidden_units >= 1")
-        if self.activation != "tanh":
-            raise ValueError("only tanh activation is supported")
 
     @cached_property
     def n_out(self) -> int:
@@ -75,10 +68,6 @@ class LabeledBatch:
         X = np.asarray(self.features, dtype=np.float64)
         y = np.asarray(self.labels, dtype=np.int64)
         g = np.asarray(self.groups, dtype=np.int64)
-        if X.ndim != 2:
-            raise ValueError("features must be a 2-D matrix")
-        if len(X) != len(y) or len(y) != len(g):
-            raise ValueError("features, labels, groups row counts disagree")
         object.__setattr__(self, "features", X)
         object.__setattr__(self, "labels", y)
         object.__setattr__(self, "groups", g)
@@ -280,8 +269,6 @@ def train_clients(
     is called, once per client, in the order the steps run.
     """
     sizes = [len(b) for b in batches]
-    if min(sizes) < 1:
-        raise ValueError("cannot train on an empty shard")
     steps = _schedule(sizes, batch_size, max(1, GROUP_BYTES // (8 * spec.param_dim)))
     last_step = [(n - 1) // batch_size for n in sizes]
 
@@ -329,8 +316,6 @@ def local_train(
 def evaluate(spec: ModelSpec, w: ParamVector, data: LabeledBatch) -> EvalMetrics:
     """Accuracy (ties break toward the lowest class index), per-group accuracy
     and :func:`loss`, from one forward pass over data."""
-    if len(data) == 0:
-        raise ValueError("cannot evaluate on empty data")
     p, _ = _forward(spec, _unflatten(spec, w), data.features)
     yhat = (p > 0.5).astype(np.int64) if spec.n_out == 1 else np.argmax(p, axis=1)
     correct = yhat == data.labels

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,12 +36,21 @@ def l2_norm(v: ParamVector) -> float:
     return norm
 
 
-def require_ints(obj, names) -> None:
-    """Raise ValueError unless each named attribute of obj is an int (not a bool)."""
-    for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+# what a dataclass field of each annotation holds, and what to call it
+_FIELD_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"),
+                "bool": (bool, "true or false"), "str": (str, "a string")}
+
+
+def check_types(obj) -> None:
+    """Raise ValueError unless each field of the dataclass obj annotated int,
+    float, bool or str holds such a value; a bool is never a number. The
+    message names the field by its metadata "key", else by its name."""
+    for f in fields(obj):
+        accepted, noun = _FIELD_TYPES.get(f.type, (object, ""))
+        value = getattr(obj, f.name)
+        if not isinstance(value, accepted) or (
+                isinstance(value, bool) and f.type in ("int", "float")):
+            raise ValueError(f"{f.metadata.get('key', f.name)} must be {noun}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -129,8 +138,6 @@ _STATE_CONSTANTS = _constant_chain(_INIT_B, _MULT_B, _POOL)
 def _int_words(n: int) -> list:
     """The little-endian uint32 words numpy makes of a non-negative int."""
     n = int(n)
-    if n < 0:
-        raise ValueError("seed words must be non-negative")
     words = [n & _MASK32]
     while n > _MASK32:
         n >>= 32

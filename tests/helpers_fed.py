@@ -110,4 +110,19 @@ BAD_VALUES = {
                                          "target_group": group}}
        for name, group in (("out_of_range", 9), ("float", 0.5))},
     "emit_csv_string": {"federation": {"K": 4}, "output": {"emit_csv": "false"}},
+    # a JSON boolean is never a number, in any section
+    **{f"{key}_bool": {"federation": {"K": 4, key: value}}
+       for key, value in (("lr", True), ("M", True), ("q", True), ("sigma", False))},
+    "class_separation_bool": {"data": {"class_separation": True}, "federation": {"K": 4}},
+    "alpha_bool": {"partition": {"kind": "dirichlet_label_skew", "alpha": True},
+                   "federation": {"K": 4}},
+    "factor_bool": {"federation": {"K": 4},
+                    "bias": {"biased_client_ids": [0], "mode": "update_scale",
+                             "factor": True}},
 }
+
+
+def bad_section(case):
+    """The config section holding BAD_VALUES[case]'s bad value: every case sets
+    federation.K, so it is the case's other section, if it has one."""
+    return next((s for s in BAD_VALUES[case] if s != "federation"), "federation")

@@ -1,8 +1,9 @@
 import json
+import re
 
 import pytest
 
-from helpers_fed import BAD_VALUES
+from helpers_fed import BAD_VALUES, bad_section
 
 from fairdpfed import harness
 from fairdpfed.cli import main
@@ -51,7 +52,8 @@ class TestRun:
         rc = main(["--quiet", "run", write_config(tmp_path, BAD_VALUES[case])])
         err = capsys.readouterr().err
         assert rc == 2
-        assert err.startswith("config error:") and "Traceback" not in err
+        assert re.match(rf"config error: {bad_section(case)}[:.]", err)
+        assert "Traceback" not in err
 
     def test_negative_seed_override_exit_code(self, tmp_path, capsys):
         rc = main(["--quiet", "--seed", "-1", "run", write_config(tmp_path, SMALL)])
@@ -87,6 +89,26 @@ class TestCompare:
         assert "A_Fed" in out
         assert (tmp_path / "cmp" / "comparison.csv").exists()
 
+    def test_compare_one_run(self, tmp_path, capsys):
+        main(["--quiet", "--out", str(tmp_path / "a"), "run", write_config(tmp_path, SMALL)])
+        rc = main(["--out", str(tmp_path / "cmp"), "compare", str(tmp_path / "a")])
+        assert rc == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2
+        assert len((tmp_path / "cmp" / "comparison.csv").read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize("summary, message", [
+        ("{not json", "not valid JSON"),
+        ('{"A_Fed": 0.9}', "missing key A_Cen"),
+    ])
+    def test_malformed_summary_exit_code(self, tmp_path, capsys, summary, message):
+        main(["--quiet", "--out", str(tmp_path / "a"), "run", write_config(tmp_path, SMALL)])
+        (tmp_path / "a" / "summary.json").write_text(summary)
+        rc = main(["--quiet", "compare", str(tmp_path / "a")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert str(tmp_path / "a" / "summary.json") in err and message in err
+
 
 class TestSweep:
     def test_sweep_M(self, tmp_path, capsys):
@@ -96,6 +118,14 @@ class TestSweep:
         assert rc == 0
         dirs = sorted(p.name for p in (tmp_path / "sweep").iterdir())
         assert dirs == ["M=0.5", "M=1", "M=inf", "comparison.csv"]
+
+    def test_sweep_one_value(self, tmp_path):
+        rc = main(["--quiet", "--out", str(tmp_path / "sweep"),
+                   "sweep", write_config(tmp_path, SMALL),
+                   "--param", "M", "--values", "0.5"])
+        assert rc == 0
+        dirs = sorted(p.name for p in (tmp_path / "sweep").iterdir())
+        assert dirs == ["M=0.5", "comparison.csv"]
 
     def test_sweep_bad_param(self, tmp_path):
         rc = main(["--quiet", "sweep", write_config(tmp_path, SMALL),
@@ -163,3 +193,12 @@ class TestSweep:
         assert rc == 0
         dirs = sorted(p.name for p in (tmp_path / "sweep").iterdir())
         assert dirs == ["S_policy=fixed", "S_policy=median_adaptive", "comparison.csv"]
+
+
+def test_help_keeps_the_synopsis_lines(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "  fairdpfed [--out DIR] [--quiet] compare <run-dir> [<run-dir> ...]" in lines
+    assert "            --param KEY --values a,b,c" in lines

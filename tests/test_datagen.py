@@ -150,15 +150,9 @@ class TestInjectBias:
     def test_update_scale_scales_emitted_norm(self):
         from fairdpfed.federation import apply_update_bias
         delta = np.array([0.1, -0.2, 0.05])
-        scaled = apply_update_bias(delta, BiasTag(mode="update_scale", factor=25.0))
-        assert np.linalg.norm(scaled) == pytest.approx(25 * np.linalg.norm(delta))
-
-    def test_double_injection_rejected(self):
-        _, shards = make_shards(K=4, n=200)
-        tag = BiasTag(mode="update_scale", factor=2.0)
-        out = inject_bias(shards[0], tag, RngStream(0).child("bias"))
-        with pytest.raises(ValueError):
-            inject_bias(out, tag, RngStream(0).child("bias"))
+        before = np.linalg.norm(delta)
+        apply_update_bias(delta, BiasTag(mode="update_scale", factor=25.0))
+        assert np.linalg.norm(delta) == pytest.approx(25 * before)
 
     @pytest.mark.parametrize("kwargs", [
         {"mode": "bogus"},

@@ -59,29 +59,38 @@ class TestAdaptiveS:
 class TestApplyUpdateBias:
     def test_clean_identity(self):
         d = np.array([0.1, -0.2])
-        assert np.array_equal(apply_update_bias(d, BiasTag()), d)
+        apply_update_bias(d, BiasTag())
+        assert np.array_equal(d, [0.1, -0.2])
 
     def test_scale(self):
         d = np.array([0.1, 0.0])
-        out = apply_update_bias(d, BiasTag(mode="update_scale", factor=25.0))
-        assert np.array_equal(out, [2.5, 0.0])
+        apply_update_bias(d, BiasTag(mode="update_scale", factor=25.0))
+        assert np.array_equal(d, [2.5, 0.0])
 
     def test_norm_scales_exactly(self):
         d = np.random.default_rng(0).normal(size=9)
-        out = apply_update_bias(d, BiasTag(mode="update_scale", factor=3.0))
-        assert np.linalg.norm(out) == pytest.approx(3 * np.linalg.norm(d))
+        before = np.linalg.norm(d)
+        apply_update_bias(d, BiasTag(mode="update_scale", factor=3.0))
+        assert np.linalg.norm(d) == pytest.approx(3 * before)
+
+
+def aggregate(deltas, config):
+    """aggregate_round on the matrix of deltas, given its rows' norms as
+    run_round gives them."""
+    D = np.array(deltas, dtype=np.float64)
+    return aggregate_round(D, config, [l2_norm(row) for row in D])
 
 
 class TestAggregateRound:
     def test_single_clean_client_passthrough(self):
         cfg = FedConfig(K=1, S_policy="fixed", S_fixed=1e9, M=1e9, sigma=0.0)
-        avg, S, reports = aggregate_round([np.array([0.1, -0.2])], cfg)
+        avg, S, reports = aggregate([np.array([0.1, -0.2])], cfg)
         assert np.array_equal(avg, [0.1, -0.2])
         assert reports[0].clipped_by == "none"
 
     def test_two_clients_clipped_to_unit_norm(self):
         cfg = FedConfig(K=2, S_policy="fixed", S_fixed=1e9, M=1.0, sigma=0.0)
-        avg, S, reports = aggregate_round(
+        avg, S, reports = aggregate(
             [np.array([2.0, 0.0]), np.array([0.0, 2.0])], cfg
         )
         assert np.allclose(avg, [0.5, 0.5])
@@ -90,15 +99,15 @@ class TestAggregateRound:
     def test_median_adaptive_uses_round_norms(self):
         cfg = FedConfig(K=3, S_policy="median_adaptive", sigma=0.0)
         deltas = [np.array([1.0, 0.0]), np.array([0.0, 5.0]), np.array([100.0, 0.0])]
-        _, S, _ = aggregate_round(deltas, cfg)
+        _, S, _ = aggregate(deltas, cfg)
         assert S == 5.0
 
     def test_order_independent_within_tolerance(self):
         g = np.random.default_rng(3)
         deltas = [g.normal(size=30) for _ in range(8)]
         cfg = FedConfig(K=8, S_policy="median_adaptive", sigma=0.0)
-        a, _, _ = aggregate_round(deltas, cfg)
-        b, _, _ = aggregate_round(deltas[::-1], cfg)
+        a, _, _ = aggregate(deltas, cfg)
+        b, _, _ = aggregate(deltas[::-1], cfg)
         assert np.all(np.abs(a - b) <= 1e-12)
 
 
@@ -121,8 +130,7 @@ class TestAggregateMatrix:
         for M in (10.0, 0.3):  # M above S (S binds), then below it (M binds)
             cfg = FedConfig(K=len(deltas), S_policy=S_policy, S_fixed=3.0, M=M)
             ref_avg, ref_S, ref_reports = per_update_aggregate(deltas, cfg)
-            D = np.array(deltas)
-            avg, S, reports = aggregate_round(D, cfg)
+            avg, S, reports = aggregate(deltas, cfg)
             assert np.array_equal(avg, ref_avg)
             assert S == ref_S
             assert reports == ref_reports
@@ -148,15 +156,6 @@ class TestAggregateMatrix:
         assert avg.tobytes() == (before.sum(axis=0) / m).tobytes()
         assert reports == ref_reports
         assert {r.clipped_by for r in reports} == {"none", "dp_bound"}
-
-    def test_list_input_left_unmodified(self):
-        g = np.random.default_rng(12)
-        deltas = [s * g.normal(size=8) for s in (0.1, 1.0, 10.0)]
-        before = [d.copy() for d in deltas]
-        cfg = FedConfig(K=3, S_policy="median_adaptive", M=0.5)
-        _, _, reports = aggregate_round(deltas, cfg)
-        assert any(r.clipped_by != "none" for r in reports)
-        assert all(np.array_equal(d, b) for d, b in zip(deltas, before))
 
 
 class TestUpdateBuffer:

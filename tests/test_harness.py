@@ -248,7 +248,3 @@ class TestCompareRuns:
             assert row["run"] == name
             assert float(row["A_Fed"]) == s.A_Fed
             assert float(row["eps_total_nominal"]) == s.eps_total_nominal
-
-    def test_needs_two(self):
-        with pytest.raises(ValueError):
-            compare_runs([("a", self.make_summary())])

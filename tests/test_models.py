@@ -152,11 +152,6 @@ class TestLocalTrain:
             assert cur <= prev + 1e-12
             prev = cur
 
-    def test_empty_shard_rejected(self):
-        empty = LabeledBatch(np.zeros((0, 4)), np.zeros(0, dtype=int), np.zeros(0, dtype=int))
-        with pytest.raises(ValueError):
-            models.local_train(LOGREG, np.zeros(5), empty, 1, 0.1, 4, RngStream(0))
-
 
 def per_client_sgd(spec, w0, batch, epochs, lr, batch_size, rng):
     """The per-client loop written out plainly: one gradient call per
