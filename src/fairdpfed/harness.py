@@ -4,6 +4,7 @@ A run directory contains exactly:
   config.echo  — the parsed config, serialized back out
   rounds.jsonl — one RoundRecord per line (stable schema, no timestamps)
   summary.json — RunSummary fields
+  timings.json — seconds per phase (not deterministic, unlike the rest)
   rounds.csv   — optional flat mirror of the round telemetry
 
 Config files are JSON with five sections (all keys optional except
@@ -28,6 +29,7 @@ import io
 import json
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, asdict, field, fields
 from pathlib import Path
 
@@ -96,7 +98,6 @@ class RunSummary:
     delta_acc: float
     per_group_gap: float
     eps_total_nominal: float
-    wall_ms: int
 
 
 def _field_names(cls) -> set:
@@ -248,8 +249,10 @@ def build_scenario(cfg: ExperimentConfig):
 def centralized_baseline(cfg: ExperimentConfig, train: LabeledBatch, test: LabeledBatch):
     """Train the same model on build_scenario's pooled clean training data.
 
-    Follows the federated round/epoch schedule and substreams exactly, so a
-    single-client federation with no clipping or noise reproduces it.
+    Each round is one :func:`models.local_train` call from the last round's
+    model, with the federated round/epoch schedule and substreams, so a
+    single-client federation with no clipping or noise reproduces it bit for
+    bit.
     """
     spec = cfg.model_spec
     root = RngStream(cfg.fed.seed)
@@ -262,20 +265,38 @@ def centralized_baseline(cfg: ExperimentConfig, train: LabeledBatch, test: Label
     return w, models.evaluate(spec, w, test)
 
 
+_PHASES = ("scenario_s", "federation_s", "baseline_s", "write_s")
+
+
+@contextmanager
+def _timed(timings: dict, phase: str):
+    """Record the seconds the with-block takes as timings[phase]."""
+    t0 = time.monotonic()
+    yield
+    timings[phase] = time.monotonic() - t0
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir, scenario=None,
-                   cen_eval=None) -> RunSummary:
+                   cen_eval=None, timings=None) -> RunSummary:
     """Run the federation plus the centralized reference and write artifacts.
 
     ``scenario`` (what build_scenario returns) and ``cen_eval`` (the
     baseline's test metrics) are computed here unless the caller passes them
     from a config that gives the same ones (see :func:`run_sweep`).
+    ``timings`` holds the seconds the caller spent computing what it passes;
+    timings.json gives a phase that neither ran as null.
     """
-    t0 = time.monotonic()
-    train, test, shards = scenario or build_scenario(cfg)
+    timings = dict.fromkeys(_PHASES) | (timings or {})
+    if scenario is None:
+        with _timed(timings, "scenario_s"):
+            scenario = build_scenario(cfg)
+    train, test, shards = scenario
     spec = cfg.model_spec
-    _, records, ledger = run_training(cfg.fed, spec, shards, test)
+    with _timed(timings, "federation_s"):
+        _, records, ledger = run_training(cfg.fed, spec, shards, test)
     if cen_eval is None:
-        _, cen_eval = centralized_baseline(cfg, train, test)
+        with _timed(timings, "baseline_s"):
+            _, cen_eval = centralized_baseline(cfg, train, test)
 
     last = records[-1]
     groups = list(last.eval.per_group_accuracy.values())
@@ -285,23 +306,25 @@ def run_experiment(cfg: ExperimentConfig, out_dir, scenario=None,
         delta_acc=abs(last.eval.accuracy - cen_eval.accuracy),
         per_group_gap=(max(groups) - min(groups)) if groups else 0.0,
         eps_total_nominal=ledger.eps_total_basic,
-        wall_ms=int((time.monotonic() - t0) * 1000),
     )
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.echo").write_text(
-        json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n"
-    )
-    with open(out / "rounds.jsonl", "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
-    summary_doc = dict(asdict(summary), eps_caveat=EPS_CAVEAT)
-    (out / "summary.json").write_text(
-        json.dumps(summary_doc, indent=2, sort_keys=True) + "\n"
-    )
-    if cfg.emit_csv:
-        _write_rounds_csv(records, out / "rounds.csv")
+    with _timed(timings, "write_s"):
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "config.echo").write_text(
+            json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n"
+        )
+        with open(out / "rounds.jsonl", "w") as fh:
+            for rec in records:
+                fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
+        summary_doc = dict(asdict(summary), eps_caveat=EPS_CAVEAT)
+        (out / "summary.json").write_text(
+            json.dumps(summary_doc, indent=2, sort_keys=True) + "\n"
+        )
+        if cfg.emit_csv:
+            _write_rounds_csv(records, out / "rounds.csv")
+    timings["total_s"] = sum(v for v in timings.values() if v is not None)
+    (out / "timings.json").write_text(json.dumps(timings, indent=2) + "\n")
     return summary
 
 
@@ -316,17 +339,21 @@ def run_sweep(configs, param: str, out_root) -> list:
 
     The configs differ only in federation.param. The scenario is built again
     only when param is one of its inputs, and so is the baseline; otherwise
-    every run reuses the first run's. Returns [(name, RunSummary)].
+    every run reuses the first run's, and its timings.json gives the reused
+    phase as null. Returns [(name, RunSummary)].
     """
     scenario = cen_eval = None
     named = []
     for name, cfg in configs:
+        timings = {}
         if scenario is None or param in _SCENARIO_KEYS:
-            scenario = build_scenario(cfg)
+            with _timed(timings, "scenario_s"):
+                scenario = build_scenario(cfg)
         if cen_eval is None or param in _BASELINE_KEYS:
-            _, cen_eval = centralized_baseline(cfg, *scenario[:2])
+            with _timed(timings, "baseline_s"):
+                _, cen_eval = centralized_baseline(cfg, *scenario[:2])
         summary = run_experiment(cfg, Path(out_root) / name, scenario=scenario,
-                                 cen_eval=cen_eval)
+                                 cen_eval=cen_eval, timings=timings)
         named.append((name, summary))
     return named
 
@@ -352,9 +379,13 @@ def load_summary(run_dir) -> RunSummary:
     path = Path(run_dir) / "summary.json"
     doc = _read_object(path)
     try:
-        return RunSummary(**{k: doc[k] for k in RunSummary.__dataclass_fields__})
+        summary = RunSummary(**{k: doc[k] for k in RunSummary.__dataclass_fields__})
+        check_types(summary)
     except KeyError as exc:
         raise ConfigError(f"{path}: missing key {exc.args[0]}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    return summary
 
 
 _COMPARE_COLUMNS = ["run", "A_Fed", "A_Cen", "delta_acc", "per_group_gap",

@@ -13,7 +13,9 @@ kernel that one model's 2-D product uses. Each row therefore ends
 bit-identical to training its client alone. A row is set to the start model
 at its client's first step and handed to a caller's hook right after its
 last step, so a wide model's row is finished while it is still in cache.
-:func:`gradient` and :func:`local_train` are the one-model cases of that code.
+:func:`local_train` trains one model with its own loop: it gathers each
+epoch's shuffled shard once and steps over slices of it. It, :func:`gradient`
+and :func:`train_clients` share one gradient formula, :func:`_gradients`.
 """
 
 from __future__ import annotations
@@ -162,43 +164,45 @@ def loss(spec: ModelSpec, w: ParamVector, batch: LabeledBatch) -> float:
     return _mean_loss(spec, p, batch.labels)
 
 
-def _gradients(spec: ModelSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Analytic gradients of :func:`loss`, one per model of the stack w (g, P),
-    each on its own minibatch of n rows: X (g, n, d), y (g, n).
+def _gradients(spec: ModelSpec, parts, X: np.ndarray, y: np.ndarray, grads) -> None:
+    """Write the analytic gradients of :func:`loss` into grads.
 
-    Every product is a stacked matmul whose slices have the strides a single
-    model's 2-D product has, so each slice runs the same kernel and row k of
-    the result is bit-identical to the gradient of model k alone.
+    parts and grads are :func:`_unflatten`'s views of the parameters and of a
+    gradient buffer of the same shape: one model (P,) with its minibatch of n
+    rows X (n, d), y (n,), or a stack of models (g, P), each with its own
+    minibatch, X (g, n, d), y (g, n). Every product of a stack is a stacked
+    matmul whose slices have the strides a single model's 2-D product has, so
+    each slice runs the same kernel and model k's gradient is bit-identical
+    to the gradient of model k alone.
     """
     n = y.shape[-1]
-    parts = _unflatten(spec, w)
     p, hidden = _forward(spec, parts, X)
     if spec.n_out == 1:
-        delta = (p - y.astype(np.float64))[..., None] / n  # (g, n, 1)
+        delta = (p - y.astype(np.float64))[..., None] / n  # (..., n, 1)
     else:
         delta = p
         delta -= y[..., None] == np.arange(spec.n_out)
-        delta /= n  # (g, n, C)
-    G = np.empty(w.shape)
+        delta /= n  # (..., n, C)
     if spec.kind == "logistic_regression":
-        gW, gb = _unflatten(spec, G)  # views of G
+        gW, gb = grads
         np.matmul(_T(delta), X, out=gW)
         gb[...] = delta.sum(axis=-2)
-        return G
-    gW1, gb1, gW2, gb2 = _unflatten(spec, G)
-    back = (delta @ _T(parts[2])) * (1.0 - hidden ** 2)  # (g, n, h)
+        return
+    gW1, gb1, gW2, gb2 = grads
+    back = (delta @ _T(parts[2])) * (1.0 - hidden ** 2)  # (..., n, h)
     np.matmul(_T(X), back, out=gW1)
     gb1[...] = back.sum(axis=-2)
     np.matmul(_T(hidden), delta, out=gW2)
     gb2[...] = delta.sum(axis=-2)
-    return G
 
 
 def gradient(spec: ModelSpec, w: ParamVector, batch: LabeledBatch) -> ParamVector:
     """Analytic gradient of :func:`loss` w.r.t. the flat parameter vector."""
     if len(batch) == 0:
         raise ValueError("gradient of empty batch is undefined")
-    return _gradients(spec, w[None], batch.features[None], batch.labels[None])[0]
+    G = np.empty(spec.param_dim)
+    _gradients(spec, _unflatten(spec, w), batch.features, batch.labels, _unflatten(spec, G))
+    return G
 
 
 # A group step holds a few (g, P) float64 blocks at once (parameters,
@@ -287,7 +291,8 @@ def train_clients(
                 Wg = W[rows]  # a view when the rows are contiguous, else a copy
                 if e == 0 and s == 0:  # every client's first step
                     Wg[...] = w0
-                G = _gradients(spec, Wg, X, y)
+                G = np.empty(Wg.shape)
+                _gradients(spec, _unflatten(spec, Wg), X, y, _unflatten(spec, G))
                 G *= lr
                 Wg -= G
                 if not isinstance(rows, slice):
@@ -307,10 +312,25 @@ def local_train(
     batch_size: int,
     rng: RngStream,
 ) -> ParamVector:
-    """Mini-batch SGD for one client (:func:`train_clients` with one row)."""
-    W = np.array(w0, dtype=np.float64)[None]  # a copy, returned as is at 0 epochs
-    train_clients(spec, W, w0, [batch], epochs, lr, batch_size, [rng])
-    return W[0]
+    """Mini-batch SGD for one client, bit-identical to :func:`train_clients`
+    with one row.
+
+    Each epoch gathers the shard in the order of a permutation from
+    rng.child("epoch", e) and steps over it batch_size rows at a time; the
+    last minibatch is shorter when batch_size does not divide the shard.
+    """
+    w = np.array(w0, dtype=np.float64)  # a copy, returned as is at 0 epochs
+    G = np.empty_like(w)
+    parts, grads = _unflatten(spec, w), _unflatten(spec, G)
+    for e in range(epochs):
+        (perm,) = permutations([rng.child("epoch", e)], [len(batch)])
+        X, y = batch.features.take(perm, axis=0), batch.labels.take(perm)
+        for start in range(0, len(y), batch_size):
+            end = start + batch_size
+            _gradients(spec, parts, X[start:end], y[start:end], grads)
+            G *= lr
+            w -= G
+    return w
 
 
 def evaluate(spec: ModelSpec, w: ParamVector, data: LabeledBatch) -> EvalMetrics:

@@ -77,6 +77,10 @@ class TestRun:
         assert rc in (2, 4)
 
 
+FULL_SUMMARY = {"A_Fed": 0.9, "A_Cen": 0.9, "delta_acc": 0.0, "per_group_gap": 0.0,
+                "eps_total_nominal": 1.0}
+
+
 class TestCompare:
     def test_compare_two_runs(self, tmp_path, capsys):
         main(["--quiet", "--out", str(tmp_path / "a"), "run", write_config(tmp_path, SMALL)])
@@ -99,6 +103,8 @@ class TestCompare:
     @pytest.mark.parametrize("summary, message", [
         ("{not json", "not valid JSON"),
         ('{"A_Fed": 0.9}', "missing key A_Cen"),
+        (json.dumps(dict(FULL_SUMMARY, A_Fed="x")), "A_Fed must be a number"),
+        (json.dumps(dict(FULL_SUMMARY, A_Fed=True)), "A_Fed must be a number"),
     ])
     def test_malformed_summary_exit_code(self, tmp_path, capsys, summary, message):
         main(["--quiet", "--out", str(tmp_path / "a"), "run", write_config(tmp_path, SMALL)])

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -24,6 +25,7 @@ from fairdpfed.harness import (
     parse_config,
     preset_config,
     run_experiment,
+    run_sweep,
 )
 
 
@@ -164,15 +166,15 @@ class TestRunExperiment:
         cfg = scenario_config(K=4, T=2, n_examples=200)
         run_experiment(cfg, tmp_path / "run")
         names = sorted(p.name for p in (tmp_path / "run").iterdir())
-        assert names == ["config.echo", "rounds.jsonl", "summary.json"]
+        assert names == ["config.echo", "rounds.jsonl", "summary.json", "timings.json"]
 
     def test_csv_emitted_when_asked(self, tmp_path):
-        import dataclasses
         cfg = dataclasses.replace(scenario_config(K=4, T=2, n_examples=200),
                                   emit_csv=True)
         run_experiment(cfg, tmp_path / "run")
         names = sorted(p.name for p in (tmp_path / "run").iterdir())
-        assert names == ["config.echo", "rounds.csv", "rounds.jsonl", "summary.json"]
+        assert names == ["config.echo", "rounds.csv", "rounds.jsonl", "summary.json",
+                         "timings.json"]
 
     def test_summary_consistent_with_files(self, tmp_path):
         cfg = scenario_config(K=4, T=3, n_examples=200)
@@ -190,8 +192,27 @@ class TestRunExperiment:
                               S_policy="median_adaptive")
         run_experiment(cfg, tmp_path / "a")
         run_experiment(cfg, tmp_path / "b")
-        assert (tmp_path / "a" / "rounds.jsonl").read_bytes() == \
-            (tmp_path / "b" / "rounds.jsonl").read_bytes()
+        for name in ("rounds.jsonl", "summary.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_timings_cover_every_phase(self, tmp_path):
+        run_experiment(scenario_config(K=4, T=2, n_examples=200), tmp_path / "run")
+        timings = json.loads((tmp_path / "run" / "timings.json").read_text())
+        phases = ["scenario_s", "federation_s", "baseline_s", "write_s"]
+        assert list(timings) == phases + ["total_s"]
+        assert all(timings[p] >= 0 for p in phases)
+        assert timings["total_s"] == sum(timings[p] for p in phases)
+
+    def test_sweep_timings_null_for_reused_phases(self, tmp_path):
+        cfg = scenario_config(K=4, T=2, n_examples=200)
+        configs = [(name, dataclasses.replace(cfg, fed=dataclasses.replace(cfg.fed, M=m)))
+                   for name, m in (("first", 0.5), ("second", 1.0))]
+        run_sweep(configs, "M", tmp_path)
+        first, second = (json.loads((tmp_path / name / "timings.json").read_text())
+                         for name, _ in configs)
+        assert first["scenario_s"] >= 0 and first["baseline_s"] >= 0
+        assert second["scenario_s"] is None and second["baseline_s"] is None
+        assert second["total_s"] == second["federation_s"] + second["write_s"]
 
     def test_no_timestamps_in_round_records(self, tmp_path):
         cfg = scenario_config(K=4, T=2, n_examples=200)
@@ -225,7 +246,7 @@ class TestRunExperiment:
 class TestCompareRuns:
     def make_summary(self, a_fed=0.9):
         return RunSummary(A_Fed=a_fed, A_Cen=0.92, delta_acc=abs(a_fed - 0.92),
-                          per_group_gap=0.03, eps_total_nominal=1.5, wall_ms=10)
+                          per_group_gap=0.03, eps_total_nominal=1.5)
 
     def test_identical_runs_zero_delta(self):
         text, csv_text = compare_runs([("a", self.make_summary()),

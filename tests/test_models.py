@@ -153,6 +153,40 @@ class TestLocalTrain:
             prev = cur
 
 
+def one_row_train_clients(spec, w0, batch, epochs, lr, batch_size, rng):
+    """The reference for local_train: train_clients with one row from w0."""
+    W = np.full((1, spec.param_dim), np.nan)
+    models.train_clients(spec, W, w0, [batch], epochs, lr, batch_size, [rng])
+    return W[0]
+
+
+class TestOneModelPath:
+    @pytest.mark.parametrize("spec", [LOGREG, SOFTMAX, MLP], ids=["binary", "softmax", "mlp"])
+    @pytest.mark.parametrize("epochs", [1, 2, 3])
+    @pytest.mark.parametrize("n, batch_size", [(37, 8), (16, 16), (10, 32)],
+                             ids=["ragged", "one_full_batch", "batch_exceeds_shard"])
+    def test_local_train_matches_one_row_train_clients(self, spec, epochs, n, batch_size):
+        batch = random_batch(spec, n=n, seed=n)
+        w0 = models.init_params(spec, RngStream(9).child("init"))
+        rng = RngStream(9).child("client", 0)
+        got = models.local_train(spec, w0, batch, epochs, 0.1, batch_size, rng)
+        want = one_row_train_clients(spec, w0, batch, epochs, 0.1, batch_size, rng)
+        assert np.array_equal(got, want)
+        assert np.array_equal(w0, models.init_params(spec, RngStream(9).child("init")))
+
+    @pytest.mark.parametrize("spec", [LOGREG, SOFTMAX, MLP], ids=["binary", "softmax", "mlp"])
+    def test_gradient_matches_stacked_rows(self, spec):
+        W = np.stack([models.init_params(spec, RngStream(k).child("w")) * 10
+                      for k in range(3)])
+        batches = [random_batch(spec, n=12, seed=k) for k in range(3)]
+        X = np.stack([b.features for b in batches])
+        y = np.stack([b.labels for b in batches])
+        G = np.empty_like(W)
+        models._gradients(spec, models._unflatten(spec, W), X, y, models._unflatten(spec, G))
+        for k in range(3):
+            assert np.array_equal(models.gradient(spec, W[k], batches[k]), G[k])
+
+
 def per_client_sgd(spec, w0, batch, epochs, lr, batch_size, rng):
     """The per-client loop written out plainly: one gradient call per
     minibatch, taken as perm[start:start + batch_size] of the epoch's shuffle."""
