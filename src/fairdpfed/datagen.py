@@ -3,9 +3,11 @@
 Labels follow a planted logistic ground truth whose margin is controlled by
 ``class_separation``; a sensitive group attribute is attached per example with
 tunable feature-group correlation. Partitioning is IID shuffle-split or
-Dirichlet label skew. Bias is injected either at the data level (group-targeted
-label flipping) or at the update level (a multiplicative tag applied by the
-server loop at transmission time).
+Dirichlet label skew, and takes the training set once, in client order, into
+one pool whose row ranges are the shards. Bias is injected either at the
+data level (group-targeted label flipping, written into the pool) or at the
+update level (a multiplicative tag applied by the server loop at
+transmission time).
 """
 
 from __future__ import annotations
@@ -37,8 +39,9 @@ class DataSpec:
         if self.n_classes < 2 or self.n_groups < 2:
             raise ValueError("n_classes and n_groups must be >= 2")
         # each float check is written so that NaN fails it
-        if not 0.0 < self.class_separation < math.inf:
-            raise ValueError("class_separation must be a finite number > 0")
+        # well below ~1e150, where the standardization's squares overflow
+        if not 0.0 < self.class_separation <= 1e100:
+            raise ValueError("class_separation must be a number in (0, 1e100]")
         if not 0.0 <= self.group_correlation <= 1.0:
             raise ValueError("group_correlation must be in [0, 1]")
 
@@ -64,9 +67,18 @@ class BiasTag:
 
 @dataclass(frozen=True)
 class ClientShard:
-    client_id: int
-    batch: LabeledBatch
+    """Rows [start, stop) of the pool, the training set in client order that
+    every shard of a scenario shares; a shard keeps no copy of its own."""
+
+    pool: LabeledBatch
+    start: int
+    stop: int
     bias_tag: BiasTag = BiasTag()
+
+    @property
+    def batch(self) -> LabeledBatch:
+        """The shard's rows: a slice of the pool, so views, not a copy."""
+        return self.pool.take(slice(self.start, self.stop))
 
 
 @dataclass(frozen=True)
@@ -133,10 +145,10 @@ def partition(train: LabeledBatch, K: int, scheme: PartitionScheme, rng: RngStre
         idx_lists = np.array_split(g.permutation(n), K)
     else:
         idx_lists = _dirichlet_split(train.labels, K, scheme.alpha, g)
-    return [
-        ClientShard(client_id=i, batch=train.take(np.sort(idx)))
-        for i, idx in enumerate(idx_lists)
-    ]
+    idx_lists = [np.sort(idx) for idx in idx_lists]
+    pool = train.take(np.concatenate(idx_lists))
+    stops = np.cumsum([len(idx) for idx in idx_lists]).tolist()
+    return [ClientShard(pool, stop - len(idx), stop) for idx, stop in zip(idx_lists, stops)]
 
 
 def _dirichlet_split(labels: np.ndarray, K: int, alpha: float, g: np.random.Generator):
@@ -161,16 +173,16 @@ def _dirichlet_split(labels: np.ndarray, K: int, alpha: float, g: np.random.Gene
 def inject_bias(shard: ClientShard, tag: BiasTag, rng: RngStream) -> ClientShard:
     """Apply a bias mode to a clean shard.
 
-    label_flip rewrites labels of the target group before training;
-    update_scale only tags the shard, the distortion is applied to the
-    transmitted update by the server loop.
+    label_flip rewrites labels of the target group in the pool, before
+    training; update_scale only tags the shard, the distortion is applied to
+    the transmitted update by the server loop.
     """
     if tag.mode == "clean":
         return shard
     if tag.mode == "update_scale":
         return replace(shard, bias_tag=tag)
     b = shard.batch
-    y = b.labels.copy()
+    y = b.labels  # a view of the pool's labels
     hit = (b.groups == tag.target_group) & (
         rng.generator().random(len(b)) < tag.flip_prob
     )
@@ -180,4 +192,4 @@ def inject_bias(shard: ClientShard, tag: BiasTag, rng: RngStream) -> ClientShard
     else:
         shift = rng.child("flip-to").generator().integers(1, n_classes, size=len(y))
         y[hit] = (y[hit] + shift[hit]) % n_classes
-    return replace(shard, batch=LabeledBatch(b.features, y, b.groups), bias_tag=tag)
+    return replace(shard, bias_tag=tag)

@@ -9,14 +9,16 @@ substream), so rounds are reproducible.
 
 The server holds m_t * P * 8 bytes of updates once per run: one (m_t, P)
 float64 matrix, reused every round. models.train_clients trains the sampled
-clients together, client i in row i: at each local step the clients whose
-minibatch has the same size run as one stacked matmul, and their rows are
-updated in place. The result is bit-identical to training each client on its
-own. Each row is finished right after its client's last step, while it is
-still in cache: it becomes the client's transmitted difference (minus the
-global model, times any update bias), and its norm, the update's one
-finiteness check, is taken. The server then clips each row into one reused
-vector and adds it to a running total, one read of the matrix.
+clients together, client i in row i, on their row spans of the scenario's
+shard pool: clients whose minibatches have the same row count run as one
+stacked matmul, in the groups of models.schedule (kept while the sampled set
+repeats), and their rows are updated in place. The result is bit-identical
+to training each client on its own. Each row is finished right after its
+client's last step, while it is still in cache: it becomes the client's
+transmitted difference (minus the global model, times any update bias), and
+its norm, the update's one finiteness check, is taken. The server then clips
+each row into one reused vector and adds it to a running total, one read of
+the matrix.
 """
 
 from __future__ import annotations
@@ -136,6 +138,7 @@ class ServerState:
     w_global: ParamVector
     ledger: PrivacyLedger
     updates: np.ndarray = None  # the (m_t, P) update matrix, reused per round
+    plan: tuple = None  # (spans, models.schedule of them), reused while the sample repeats
 
 
 def sample_clients(K: int, q: float, rng: RngStream) -> list:
@@ -205,10 +208,12 @@ def run_round(
         except ValueError:
             pass
 
+    spans = [(shards[cid].start, shards[cid].stop) for cid in sampled]
+    if state.plan is None or state.plan[0] != spans:
+        state.plan = (spans, models.schedule(spec, spans, config.batch_size))
     models.train_clients(
-        spec, D, state.w_global, [shards[cid].batch for cid in sampled], config.epochs,
-        config.lr, config.batch_size, [round_stream.child("client", cid) for cid in sampled],
-        finish,
+        spec, D, state.w_global, shards[0].pool, state.plan[1], config.epochs, config.lr,
+        [round_stream.child("client", cid) for cid in sampled], finish,
     )
     for cid, norm in zip(sampled, norms):
         if norm is None:

@@ -236,13 +236,8 @@ def build_scenario(cfg: ExperimentConfig):
         shards = partition(train, cfg.fed.K, cfg.partition, root.child("partition"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if cfg.bias.mode != "clean":
-        shards = [
-            inject_bias(s, cfg.bias, root.child("bias", s.client_id))
-            if s.client_id in cfg.bias.biased_client_ids
-            else s
-            for s in shards
-        ]
+    for cid in sorted(set(cfg.bias.biased_client_ids)):
+        shards[cid] = inject_bias(shards[cid], cfg.bias, root.child("bias", cid))
     return train, test, shards
 
 

@@ -6,13 +6,17 @@ single flat float64 vector, whose blocks (weights, biases) unflatten gives as
 views. A stack of models is a (g, P) matrix, one model per row.
 
 :func:`train_clients` runs minibatch SGD for many clients together, client i
-in row i of a matrix that it updates in place. At each step it groups the
-clients by minibatch size and runs each group's forward and backward passes
-as one stacked matmul per product, which applies to every (n, d) slice the
-kernel that one model's 2-D product uses. Each row therefore ends
-bit-identical to training its client alone. A row is set to the start model
-at its client's first step and handed to a caller's hook right after its
-last step, so a wide model's row is finished while it is still in cache.
+in row i of a matrix that it updates in place, on row spans of one pool.
+Each epoch it runs :func:`schedule`'s groups: the full minibatches step by
+step, then the short last ones grouped by row count. A group's rows are one
+gather from the pool, and its forward and backward passes run as one stacked
+matmul per product, which applies to every (n, d) slice the kernel that one
+model's 2-D product uses. Each row therefore ends bit-identical to training
+its client alone. A row is set to the start model at its client's first
+step and handed to a caller's hook right after its last step, so a wide
+model's row is finished while it is still in cache. Overflow is ignored:
+runaway weights saturate the probabilities, and the hook's norm check
+reports the update.
 :func:`local_train` trains one model with its own loop: it gathers each
 epoch's shuffled shard once and steps over slices of it. It, :func:`gradient`
 and :func:`train_clients` share one gradient formula, :func:`_gradients`.
@@ -156,6 +160,7 @@ def _mean_loss(spec: ModelSpec, p: np.ndarray, y: np.ndarray) -> float:
     return float(-np.mean(ll))
 
 
+@np.errstate(over="ignore")
 def loss(spec: ModelSpec, w: ParamVector, batch: LabeledBatch) -> float:
     """Mean cross-entropy with probabilities clamped away from 0 and 1."""
     if len(batch) == 0:
@@ -196,6 +201,7 @@ def _gradients(spec: ModelSpec, parts, X: np.ndarray, y: np.ndarray, grads) -> N
     gb2[...] = delta.sum(axis=-2)
 
 
+@np.errstate(over="ignore")
 def gradient(spec: ModelSpec, w: ParamVector, batch: LabeledBatch) -> ParamVector:
     """Analytic gradient of :func:`loss` w.r.t. the flat parameter vector."""
     if len(batch) == 0:
@@ -214,95 +220,103 @@ def gradient(spec: ModelSpec, w: ParamVector, batch: LabeledBatch) -> ParamVecto
 GROUP_BYTES = 1 << 19
 
 
-def _schedule(sizes: list, batch_size: int, max_rows: int) -> list:
-    """The groups of every step of an epoch, for clients with these shard sizes.
+def schedule(spec: ModelSpec, spans, batch_size: int) -> tuple:
+    """The groups :func:`train_clients` runs each epoch, for clients that train
+    on these [start, stop) spans of a pool.
 
-    Client i's minibatch at step s is rows [s * batch_size, + n) of its
-    shuffled shard, n = min(batch_size, sizes[i] - s * batch_size) when
-    positive. A group is the clients of one step whose minibatches have the
-    same n, at most max_rows of them. Returns, per step, its groups as
-    (rows of W: a slice when contiguous, else a list; the clients; s *
-    batch_size; n).
+    Full group s holds the clients with more than s full minibatches of
+    batch_size rows; after the last one come the short last minibatches, one
+    group per row count n, ascending. A group lists its clients in ascending
+    order, at most GROUP_BYTES // (8 * P) of them, so each client's
+    minibatches keep their order. Returns (sizes, offsets, groups, order). A
+    group is (its rows of W, a slice when contiguous; n; the positions in it
+    of the clients it starts; the clients it ends; its slice of order).
+    (concatenated shuffles + offsets)[order] are the groups' pool rows.
     """
-    sizes = np.asarray(sizes, dtype=np.int64)
+    spans = np.asarray(spans, dtype=np.int64).reshape(-1, 2)
+    sizes = spans[:, 1] - spans[:, 0]
     n_steps = -(-sizes // batch_size)
     cell_client = np.repeat(np.arange(len(sizes)), n_steps)
     cell_step = np.arange(int(n_steps.sum())) - np.repeat(np.cumsum(n_steps) - n_steps, n_steps)
     cell_rows = np.minimum(batch_size, sizes[cell_client] - cell_step * batch_size)
-    cells = np.lexsort((cell_client, cell_rows, cell_step))
-    client, step, rows = cell_client[cells], cell_step[cells], cell_rows[cells]
+    key = np.where(cell_rows == batch_size, cell_step, n_steps.max() + cell_rows)
+    cells = np.lexsort((cell_client, key))
+    client, step, rows, key = cell_client[cells], cell_step[cells], cell_rows[cells], key[cells]
 
-    # a group starts where (step, n) changes, and every max_rows cells on
+    # a group starts where the key changes, and every max_rows cells on
+    max_rows = max(1, GROUP_BYTES // (8 * spec.param_dim))
     new_run = np.ones(len(cells), dtype=bool)
-    new_run[1:] = (np.diff(step) != 0) | (np.diff(rows) != 0)
+    new_run[1:] = np.diff(key) != 0
     run_start = np.maximum.accumulate(np.where(new_run, np.arange(len(cells)), 0))
     lo = np.flatnonzero((np.arange(len(cells)) - run_start) % max_rows == 0)
     hi = np.append(lo[1:], len(cells))
-    clients = client.tolist()
-    steps = [[] for _ in range(int(n_steps.max()))]
-    for a, b, s, n in zip(lo.tolist(), hi.tolist(), step[lo].tolist(), rows[lo].tolist()):
+    row_end = np.cumsum(rows)
+    row_start = row_end - rows
+    shuffle_start = (np.cumsum(sizes) - sizes)[client] + step * batch_size
+    order = np.repeat(shuffle_start - row_start, rows) + np.arange(int(row_end[-1]))
+
+    clients, first = client.tolist(), (step == 0).tolist()
+    last = (step == n_steps[client] - 1).tolist()
+    groups = []
+    for a, b, n, r0, r1 in zip(lo.tolist(), hi.tolist(), rows[lo].tolist(),
+                               row_start[lo].tolist(), row_end[hi - 1].tolist()):
         members = clients[a:b]
-        first, last = members[0], members[-1]
-        rows_of_W = slice(first, last + 1) if last - first == b - a - 1 else members
-        steps[s].append((rows_of_W, members, s * batch_size, n))
-    return steps
+        contiguous = members[-1] - members[0] == b - a - 1
+        groups.append((slice(members[0], members[-1] + 1) if contiguous else members, n,
+                       [j for j in range(b - a) if first[a + j]],
+                       [i for i, end in zip(members, last[a:b]) if end], slice(r0, r1)))
+    return sizes, np.repeat(spans[:, 0], sizes), groups, order
 
 
+@np.errstate(over="ignore")
 def train_clients(
     spec: ModelSpec,
     W: np.ndarray,
     w0: ParamVector,
-    batches: list,
+    pool: LabeledBatch,
+    plan: tuple,
     epochs: int,
     lr: float,
-    batch_size: int,
     rngs: list,
     finish=None,
 ) -> None:
     """Minibatch SGD for m clients at once from the start model w0, client i
     in row i of W.
 
-    Client i trains on batches[i]. Row i of W is set to w0 at the client's
-    first step (whatever W held before is ignored) and updated in place. Each
-    epoch, client i reshuffles its shard with a permutation from
-    rngs[i].child("epoch", e) and steps through it batch_size rows at a time.
-    At each step the clients whose minibatch has the same row count form a
-    group, whose forward and backward passes run as one stacked matmul per
+    Client i trains on its span of pool, and plan is :func:`schedule` of the
+    spans. Row i of W is set to w0 at the client's first step (whatever W
+    held before is ignored) and updated in place. Each epoch, client i
+    reshuffles its rows with a permutation from rngs[i].child("epoch", e)
+    and the plan's groups run in turn. A group's rows are one take from the
+    pool, and its forward and backward passes run as one stacked matmul per
     product (see :func:`_gradients`), so every row ends bit-identical to
     training its client alone. Right after client i's last step, finish(i)
-    is called, once per client, in the order the steps run.
+    is called, once per client, in the order the groups run.
     """
-    sizes = [len(b) for b in batches]
-    steps = _schedule(sizes, batch_size, max(1, GROUP_BYTES // (8 * spec.param_dim)))
-    last_step = [(n - 1) // batch_size for n in sizes]
-
+    sizes, offsets, groups, order = plan
+    d = spec.n_features
     for e in range(epochs):
-        perms = permutations([rng.child("epoch", e) for rng in rngs], sizes)
-        for s, groups in enumerate(steps):
-            for rows, members, start, n in groups:
-                X = np.empty((len(members), n, spec.n_features))
-                y = np.empty((len(members), n), dtype=np.int64)
-                for j, i in enumerate(members):
-                    # a permutation's indices are in range, so "clip" only
-                    # skips the buffered bounds check the default mode makes
-                    k = perms[i][start : start + n]
-                    batches[i].features.take(k, axis=0, out=X[j], mode="clip")
-                    batches[i].labels.take(k, out=y[j], mode="clip")
-                Wg = W[rows]  # a view when the rows are contiguous, else a copy
-                if e == 0 and s == 0:  # every client's first step
-                    Wg[...] = w0
-                G = np.empty(Wg.shape)
-                _gradients(spec, _unflatten(spec, Wg), X, y, _unflatten(spec, G))
-                G *= lr
-                Wg -= G
-                if not isinstance(rows, slice):
-                    W[rows] = Wg
-                if finish is not None and e == epochs - 1:
-                    for i in members:
-                        if last_step[i] == s:
-                            finish(i)
+        idx = np.concatenate(permutations([rng.child("epoch", e) for rng in rngs], sizes))
+        idx += offsets
+        idx = idx[order]
+        for rows, n, fresh, done, cells in groups:
+            X = pool.features.take(idx[cells], axis=0).reshape(-1, n, d)
+            y = pool.labels.take(idx[cells]).reshape(-1, n)
+            Wg = W[rows]  # a view when the rows are contiguous, else a copy
+            if e == 0 and fresh:
+                Wg[fresh] = w0
+            G = np.empty(Wg.shape)
+            _gradients(spec, _unflatten(spec, Wg), X, y, _unflatten(spec, G))
+            G *= lr
+            Wg -= G
+            if not isinstance(rows, slice):
+                W[rows] = Wg
+            if finish is not None and e == epochs - 1:
+                for i in done:
+                    finish(i)
 
 
+@np.errstate(over="ignore")
 def local_train(
     spec: ModelSpec,
     w0: ParamVector,
@@ -333,6 +347,7 @@ def local_train(
     return w
 
 
+@np.errstate(over="ignore")
 def evaluate(spec: ModelSpec, w: ParamVector, data: LabeledBatch) -> EvalMetrics:
     """Accuracy (ties break toward the lowest class index), per-group accuracy
     and :func:`loss`, from one forward pass over data."""

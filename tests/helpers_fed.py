@@ -95,6 +95,7 @@ BAD_VALUES = {
                            "federation": {"K": 4}},
     "class_separation_nan": {"data": {"class_separation": math.nan}, "federation": {"K": 4}},
     "class_separation_inf": {"data": {"class_separation": math.inf}, "federation": {"K": 4}},
+    "class_separation_huge": {"data": {"class_separation": 1e300}, "federation": {"K": 4}},
     **{f"alpha_{name}": {"partition": {"kind": "dirichlet_label_skew", "alpha": value},
                          "federation": {"K": 4}}
        for name, value in (("nan", math.nan), ("inf", math.inf))},

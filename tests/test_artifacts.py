@@ -9,11 +9,19 @@ here: on such a machine, check the outputs against a capture taken with the
 parent commit instead.
 """
 
+import copy
 import hashlib
 
 import pytest
 
-from fairdpfed.harness import build_scenario, centralized_baseline, preset_config, run_experiment
+from fairdpfed.harness import (
+    PRESETS,
+    build_scenario,
+    centralized_baseline,
+    config_from_dict,
+    preset_config,
+    run_experiment,
+)
 
 ROUNDS_SHA256 = {
     "fedavg_clean": "d8cd9922bfdcb6072d6d3e689d7b8303b9a0c1423ef0d04c51593032669fc592",
@@ -59,3 +67,43 @@ def test_preset_baseline_weights_pinned(preset):
     cfg = preset_config(preset)
     w, _ = centralized_baseline(cfg, *build_scenario(cfg)[:2])
     assert hashlib.sha256(w.tobytes()).hexdigest() == BASELINE_SHA256[preset]
+
+
+def _label_flip_config() -> dict:
+    """biased_attack with three label-flipping clients and half of the clients
+    sampled per round: flipped labels live in the shared pool of shards, and
+    the sampled set changes every round."""
+    raw = copy.deepcopy(PRESETS["biased_attack"])
+    raw["bias"] = {"biased_client_ids": [0, 1, 2], "mode": "label_flip",
+                   "flip_prob": 0.8, "target_group": 0}
+    raw["federation"]["q"] = 0.5
+    return raw
+
+
+def _many_short_shards_config() -> dict:
+    """The cross_device_lr benchmark workload at seed 1: 100 Dirichlet(0.5)
+    shards of 2 to 881 rows, so most clients end on a short minibatch."""
+    return {
+        "data": {"n_examples": 20000, "n_features": 20},
+        "model": {"kind": "logistic_regression"},
+        "partition": {"kind": "dirichlet_label_skew", "alpha": 0.5},
+        "federation": {
+            "K": 100, "q": 1.0, "T": 20, "epochs": 1, "lr": 0.1, "batch_size": 32,
+            "S_policy": "median_adaptive", "M": 0.2, "sigma": 0.5,
+            "delta_dp": 1e-5, "seed": 1,
+        },
+        "bias": {"biased_client_ids": [5, 6, 8, 12, 17, 27, 31, 33, 35, 36, 43, 47, 50,
+                                       53, 86, 88, 90, 92, 94, 95],
+                 "mode": "update_scale", "factor": 25.0},
+        "output": {},
+    }
+
+
+@pytest.mark.parametrize("raw, sha256", [
+    (_label_flip_config(), "ff889aaf8bfcbf276088e649104cb8447b413f8f52dc5ed8be073f860030ef01"),
+    (_many_short_shards_config(),
+     "1a0837dc5381e5bf06dad236672196ed6853505ab2b526f44f4ff0ab2fd17c14"),
+], ids=["label_flip", "many_short_shards"])
+def test_config_rounds_bytes_pinned(tmp_path, raw, sha256):
+    run_experiment(config_from_dict(raw), tmp_path)
+    assert _sha256(tmp_path / "rounds.jsonl") == sha256

@@ -76,6 +76,20 @@ class TestRun:
         rc = main(["--quiet", "run", str(tmp_path / "absent.json")])
         assert rc in (2, 4)
 
+    @pytest.mark.parametrize("lr, rc, message", [
+        (1e9, 0, ""),  # logits overflow exp: probabilities saturate to 0 or 1
+        (1e300, 3, "simulation abort: non-finite update from client 0 in round 0\n"),
+    ])
+    def test_runaway_weights_warn_nothing(self, tmp_path, capsys, lr, rc, message):
+        """Under the error filter a numpy overflow warning would be a traceback."""
+        raw = {"data": {"n_examples": 120, "n_features": 4},
+               "partition": {"kind": "dirichlet_label_skew", "alpha": 1.0},
+               "federation": {"K": 4, "T": 2, "sigma": 0.5, "M": 0.5, "seed": 1, "lr": lr},
+               "bias": {"biased_client_ids": [0], "mode": "update_scale", "factor": 5.0}}
+        assert main(["--quiet", "--out", str(tmp_path / "run"), "run",
+                     write_config(tmp_path, raw)]) == rc
+        assert capsys.readouterr().err == message
+
 
 FULL_SUMMARY = {"A_Fed": 0.9, "A_Cen": 0.9, "delta_acc": 0.0, "per_group_gap": 0.0,
                 "eps_total_nominal": 1.0}

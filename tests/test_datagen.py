@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,20 @@ class TestPartition:
             np.unique(stacked, axis=0).shape == np.unique(train.features, axis=0).shape
         )
 
+    def test_shards_are_row_ranges_of_one_pool(self):
+        train, shards = make_shards(
+            K=7, n=500, scheme=PartitionScheme(kind="dirichlet_label_skew", alpha=0.5))
+        pool = shards[0].pool
+        assert all(s.pool is pool for s in shards) and len(pool) == len(train)
+        assert [s.start for s in shards] == [0] + [s.stop for s in shards[:-1]]
+        assert shards[-1].stop == len(pool)
+        for s in shards:  # the rows live only in the pool
+            assert np.shares_memory(s.batch.features, pool.features)
+            assert np.shares_memory(s.batch.labels, pool.labels)
+        assert not np.shares_memory(pool.labels, train.labels)
+        with pytest.raises(TypeError):  # a shard's batch cannot be rebound
+            replace(shards[0], batch=shards[1].batch)
+
     def test_too_many_clients_rejected(self):
         train, _ = generate(DataSpec(n_examples=20, n_features=3), RngStream(0).child("d"))
         with pytest.raises(ValueError):
@@ -125,13 +141,25 @@ class TestInjectBias:
     def test_full_flip_on_universal_group(self):
         _, shards = make_shards(K=4, n=200)
         s = shards[1]
-        groups = np.zeros(len(s.batch), dtype=int)
-        from fairdpfed.models import LabeledBatch
-        from dataclasses import replace
-        s = replace(s, batch=LabeledBatch(s.batch.features, s.batch.labels, groups))
+        s.batch.groups[:] = 0  # the shard's rows of the pool
+        labels = s.batch.labels.copy()
         tag = BiasTag(mode="label_flip", flip_prob=1.0, target_group=0)
         out = inject_bias(s, tag, RngStream(0).child("bias"))
-        assert np.array_equal(out.batch.labels, 1 - s.batch.labels)
+        assert np.array_equal(out.batch.labels, 1 - labels)
+
+    def test_label_flip_writes_into_the_pool(self):
+        train, shards = make_shards(K=4, n=200)
+        pool, s = shards[0].pool, shards[1]
+        before, train_labels = pool.labels.copy(), train.labels.copy()
+        tag = BiasTag(mode="label_flip", flip_prob=1.0, target_group=0)
+        out = inject_bias(s, tag, RngStream(0).child("bias"))
+        hit = np.zeros(len(pool), dtype=bool)
+        hit[s.start:s.stop] = pool.groups[s.start:s.stop] == 0
+        assert hit.any()
+        assert np.array_equal(pool.labels, np.where(hit, 1 - before, before))
+        assert np.array_equal(out.batch.labels, pool.labels[s.start:s.stop])
+        # the clean training set the centralized baseline trains on is untouched
+        assert np.array_equal(train.labels, train_labels)
 
     def test_features_and_size_unchanged(self):
         _, shards = make_shards(K=4, n=200)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers_fed import fedavg_reference, scenario_config
+from test_models import finish_order
 
 from fairdpfed import models
 from fairdpfed.clipping import dual_clip
@@ -194,24 +195,27 @@ class TestUpdateBuffer:
 
     @pytest.mark.parametrize("epochs", [1, 2])
     def test_nonfinite_error_names_first_sampled_client(self, epochs):
-        """Rows are finished in the order the local steps run: here the
-        first sampled bad client has the longer shard and finishes last. The
+        """Rows are finished in the order the groups run, short last
+        minibatches by row count: here the first sampled bad client's last
+        minibatch has 5 rows and the second's 3, so it finishes later. The
         error still names it."""
         base = self.config()
-        config = dataclasses.replace(base, fed=dataclasses.replace(base.fed, epochs=epochs))
+        config = dataclasses.replace(
+            base, fed=dataclasses.replace(base.fed, epochs=epochs),
+            partition=dataclasses.replace(base.partition, kind="dirichlet_label_skew",
+                                          alpha=0.3))
         _, _, shards = build_scenario(config)
-        first = sample_clients(config.fed.K, config.fed.q,
-                               RngStream(config.fed.seed).child("sample", 0))
-        for cid in first[1:]:
-            b = shards[cid].batch
-            reps = 3 if cid == first[1] else 1
-            X = np.tile(b.features, (reps, 1))
-            X[0, 0] = np.nan
-            shards[cid] = dataclasses.replace(shards[cid], batch=models.LabeledBatch(
-                X, np.tile(b.labels, reps), np.tile(b.groups, reps)))
+        sampled = sample_clients(config.fed.K, config.fed.q,
+                                 RngStream(config.fed.seed).child("sample", 0))
+        bs = config.fed.batch_size
+        sizes = [len(shards[cid].batch) for cid in sampled]
+        order = finish_order(sizes, bs)
+        assert order.index(0) > order.index(1)
+        for cid in sampled[:2]:
+            shards[cid].batch.features[0, 0] = np.nan  # a row of the pool
         with np.errstate(all="ignore"):
             with pytest.raises(SimulationError,
-                               match=f"client {first[1]} in round 0$"):
+                               match=f"client {sampled[0]} in round 0$"):
                 self.run_rounds(config, shards=shards)
 
 
@@ -246,14 +250,7 @@ class TestRunRound:
 
     def test_nonfinite_update_aborts_with_context(self):
         config, spec, shards, test, root, state = self.make_state({})
-        from dataclasses import replace
-        from fairdpfed.models import LabeledBatch
-        bad = shards[2].batch.features.copy()
-        bad[0, 0] = np.nan
-        shards[2] = replace(
-            shards[2],
-            batch=LabeledBatch(bad, shards[2].batch.labels, shards[2].batch.groups),
-        )
+        shards[2].batch.features[0, 0] = np.nan  # a row of the pool
         with np.errstate(all="ignore"):
             with pytest.raises(SimulationError, match="client 2 in round 0"):
                 run_round(state, shards, config.fed, spec, test, root)

@@ -156,7 +156,8 @@ class TestLocalTrain:
 def one_row_train_clients(spec, w0, batch, epochs, lr, batch_size, rng):
     """The reference for local_train: train_clients with one row from w0."""
     W = np.full((1, spec.param_dim), np.nan)
-    models.train_clients(spec, W, w0, [batch], epochs, lr, batch_size, [rng])
+    plan = models.schedule(spec, [(0, len(batch))], batch_size)
+    models.train_clients(spec, W, w0, batch, plan, epochs, lr, [rng])
     return W[0]
 
 
@@ -201,6 +202,79 @@ def per_client_sgd(spec, w0, batch, epochs, lr, batch_size, rng):
     return w
 
 
+def finish_order(sizes, batch_size):
+    """The order train_clients finishes clients in: those whose last minibatch
+    is full by its step, then the rest by their last minibatch's row count,
+    ascending ids within each."""
+    def last_group(i):
+        full, rest = divmod(sizes[i], batch_size)
+        return (1, rest) if rest else (0, full - 1)
+    return sorted(range(len(sizes)), key=lambda i: (last_group(i), i))
+
+
+def assert_each_row_once_in_client_order(plan, sizes, batch_size):
+    """Each epoch the plan's groups read every row once, and client i's
+    minibatches are rows [k, k + batch_size) of its shuffle, k ascending."""
+    _, _, groups, order = plan
+    assert sorted(order.tolist()) == list(range(sum(sizes)))
+    read = [[] for _ in sizes]
+    for rows, n, _, _, cells in groups:
+        members = range(len(sizes))[rows] if isinstance(rows, slice) else rows
+        for i, positions in zip(members, order[cells].reshape(-1, n)):
+            read[i].append(positions.tolist())
+    starts = np.cumsum(sizes) - sizes
+    for i, got in enumerate(read):
+        shuffle = list(range(starts[i], starts[i] + sizes[i]))
+        assert got == [shuffle[k:k + batch_size] for k in range(0, sizes[i], batch_size)]
+
+
+class TestSchedule:
+    SIZES = [5, 32, 40, 64, 70, 100]
+
+    @staticmethod
+    def spans(sizes, start=1000):
+        stops = start + np.cumsum(sizes)
+        return [(int(b - n), int(b)) for n, b in zip(sizes, stops)]
+
+    def test_groups_full_steps_then_short_minibatches_by_row_count(self):
+        sizes, offsets, groups, order = models.schedule(LOGREG, self.spans(self.SIZES), 32)
+        assert sizes.tolist() == self.SIZES
+        assert offsets.tolist() == np.repeat(1000 + np.cumsum(self.SIZES) - self.SIZES,
+                                             self.SIZES).tolist()
+        # (rows of W, n, positions of clients it starts, clients it ends, cells)
+        assert groups == [
+            (slice(1, 6), 32, [0, 1, 2, 3, 4], [1], slice(0, 160)),
+            (slice(3, 6), 32, [], [3], slice(160, 256)),
+            (slice(5, 6), 32, [], [], slice(256, 288)),
+            (slice(5, 6), 4, [], [5], slice(288, 292)),
+            (slice(0, 1), 5, [0], [0], slice(292, 297)),
+            (slice(4, 5), 6, [], [4], slice(297, 303)),
+            (slice(2, 3), 8, [], [2], slice(303, 311)),
+        ]
+        assert [i for g in groups for i in g[3]] == finish_order(self.SIZES, 32)
+
+    @pytest.mark.parametrize("sizes, batch_size", [
+        (SIZES, 32), ([100, 5, 64, 32, 70, 40], 32), ([64, 1, 63, 17, 16], 16), ([9], 32),
+        ([2, 4, 6], 2)])
+    def test_every_row_once_per_epoch_in_each_clients_own_order(self, sizes, batch_size):
+        plan = models.schedule(LOGREG, self.spans(sizes), batch_size)
+        assert_each_row_once_in_client_order(plan, sizes, batch_size)
+
+    def test_max_rows_splits_groups(self, monkeypatch):
+        monkeypatch.setattr(models, "GROUP_BYTES", 2 * 8 * LOGREG.param_dim)
+        sizes = [100, 5, 64, 32, 70, 40]
+        plan = models.schedule(LOGREG, self.spans(sizes), 32)
+        groups = plan[2]
+        assert [(rows, n, fresh) for rows, n, fresh, _, _ in groups] == [
+            ([0, 2], 32, [0, 1]), (slice(3, 5), 32, [0, 1]), (slice(5, 6), 32, [0]),
+            ([0, 2], 32, []), (slice(4, 5), 32, []), (slice(0, 1), 32, []),
+            (slice(0, 1), 4, []), (slice(1, 2), 5, [0]), (slice(4, 5), 6, []),
+            (slice(5, 6), 8, []),
+        ]
+        assert [i for g in groups for i in g[3]] == finish_order(sizes, 32)
+        assert_each_row_once_in_client_order(plan, sizes, 32)
+
+
 class TestTrainClients:
     BATCH_SIZE = 16
 
@@ -210,39 +284,45 @@ class TestTrainClients:
                         n_classes=spec.n_classes, class_separation=2.0)
         train, _ = generate(data, RngStream(3).child("data"))
         scheme = PartitionScheme(kind="dirichlet_label_skew", alpha=0.3)
-        return [s.batch for s in partition(train, 9, scheme, RngStream(3).child("p"))]
+        return partition(train, 9, scheme, RngStream(3).child("p"))
+
+    @staticmethod
+    def train(spec, W, w0, shards, epochs, rngs, finish=None):
+        plan = models.schedule(spec, [(s.start, s.stop) for s in shards],
+                               TestTrainClients.BATCH_SIZE)
+        models.train_clients(spec, W, w0, shards[0].pool, plan, epochs, 0.1, rngs, finish)
 
     @pytest.mark.parametrize("spec", [LOGREG, SOFTMAX, MLP], ids=["binary", "softmax", "mlp"])
     @pytest.mark.parametrize("epochs", [1, 2, 8])
     @pytest.mark.parametrize("small_groups", [False, True])
     def test_matches_per_client_loop_bit_for_bit(self, monkeypatch, spec, epochs,
                                                   small_groups):
-        batches = self.shards(spec)
-        sizes = [len(b) for b in batches]
+        shards = self.shards(spec)
+        sizes = [len(s.batch) for s in shards]
         bs = self.BATCH_SIZE
         assert min(sizes) < bs and any(n % bs for n in sizes if n > bs)
         if small_groups:  # at most 2 rows per group step: chunks, gathered rows
             monkeypatch.setattr(models, "GROUP_BYTES", 2 * 8 * spec.param_dim)
         w0 = models.init_params(spec, RngStream(4).child("init"))
-        rngs = [RngStream(4).child("client", i) for i in range(len(batches))]
-        W = np.full((len(batches), spec.param_dim), np.nan)  # rows start from w0
-        models.train_clients(spec, W, w0, batches, epochs, 0.1, bs, rngs)
-        for row, batch, rng in zip(W, batches, rngs):
-            assert np.array_equal(row, per_client_sgd(spec, w0, batch, epochs, 0.1, bs, rng))
+        rngs = [RngStream(4).child("client", i) for i in range(len(shards))]
+        W = np.full((len(shards), spec.param_dim), np.nan)  # rows start from w0
+        self.train(spec, W, w0, shards, epochs, rngs)
+        for row, shard, rng in zip(W, shards, rngs):
+            assert np.array_equal(row, per_client_sgd(spec, w0, shard.batch, epochs, 0.1, bs,
+                                                      rng))
 
     @pytest.mark.parametrize("small_groups", [False, True])
     def test_finish_runs_once_per_client_right_after_its_last_step(self, monkeypatch,
                                                                    small_groups):
-        batches = self.shards(MLP)
-        sizes = [len(b) for b in batches]
+        shards = self.shards(MLP)
+        sizes = [len(s.batch) for s in shards]
         bs = self.BATCH_SIZE
-        assert len(set(-(-n // bs) for n in sizes)) > 1  # clients finish at different steps
         if small_groups:
             monkeypatch.setattr(models, "GROUP_BYTES", 2 * 8 * MLP.param_dim)
         w0 = models.init_params(MLP, RngStream(4).child("init"))
-        rngs = [RngStream(4).child("client", i) for i in range(len(batches))]
-        final = [per_client_sgd(MLP, w0, b, 2, 0.1, bs, r) for b, r in zip(batches, rngs)]
-        W = np.empty((len(batches), MLP.param_dim))
+        rngs = [RngStream(4).child("client", i) for i in range(len(shards))]
+        final = [per_client_sgd(MLP, w0, s.batch, 2, 0.1, bs, r) for s, r in zip(shards, rngs)]
+        W = np.empty((len(shards), MLP.param_dim))
         calls = []
 
         def finish(i):
@@ -251,11 +331,11 @@ class TestTrainClients:
             calls.append(i)
             W[i] = np.nan  # later steps must not touch a finished row
 
-        models.train_clients(MLP, W, w0, batches, 2, 0.1, bs, rngs, finish)
-        assert sorted(calls) == list(range(len(batches)))
-        # clients with fewer steps finish first
-        steps = [-(-sizes[i] // bs) for i in calls]
-        assert steps == sorted(steps) and calls != sorted(calls)
+        self.train(MLP, W, w0, shards, 2, rngs, finish)
+        # clients whose last minibatch is full finish in step order, then the
+        # rest by their last minibatch's row count
+        assert calls == finish_order(sizes, bs)
+        assert calls != sorted(calls) and any(n % bs == 0 for n in sizes)
         assert np.isnan(W).all()
 
 
