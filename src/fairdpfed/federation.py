@@ -11,14 +11,19 @@ The server holds m_t * P * 8 bytes of updates once per run: one (m_t, P)
 float64 matrix, reused every round. models.train_clients trains the sampled
 clients together, client i in row i, on their row spans of the scenario's
 shard pool: clients whose minibatches have the same row count run as one
-stacked matmul, in the groups of models.schedule (kept while the sampled set
-repeats), and their rows are updated in place. The result is bit-identical
-to training each client on its own. Each row is finished right after its
-client's last step, while it is still in cache: it becomes the client's
-transmitted difference (minus the global model, times any update bias), and
-its norm, the update's one finiteness check, is taken. The server then clips
-each row into one reused vector and adds it to a running total, one read of
-the matrix.
+stacked matmul, in the groups of models.schedule, and their rows are updated
+in place. The round's models.Plan binds those groups to the matrix (views,
+minibatch buffers, work arrays) and is kept in the server state while the
+sampled spans repeat; it lives and dies with the run, as the matrix does.
+Each epoch the sampled clients' shuffles are drawn in one call from the
+round stream and their ids. The result is bit-identical to training each
+client on its own. Each row is finished right after its client's last step,
+while it is still in cache: it becomes the client's transmitted difference
+(minus the global model, times any update bias), and its norm, the update's
+one finiteness check, is taken. The server then adds each row to a running
+total, clipping only the rows dual_clip would scale into one reused vector
+first: one read of the matrix. Evaluation reads the test set's group index,
+worked out once.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .clipping import dual_clip
+from .clipping import ClipReport, dual_clip
 from .datagen import BiasTag
 from .models import EvalMetrics, LabeledBatch, ModelSpec
 from .numeric import ParamVector, RngStream, check_types, l2_norm
@@ -138,7 +143,7 @@ class ServerState:
     w_global: ParamVector
     ledger: PrivacyLedger
     updates: np.ndarray = None  # the (m_t, P) update matrix, reused per round
-    plan: tuple = None  # (spans, models.schedule of them), reused while the sample repeats
+    plan: models.Plan = None  # bound to updates, reused while the sampled spans repeat
 
 
 def sample_clients(K: int, q: float, rng: RngStream) -> list:
@@ -164,10 +169,11 @@ def aggregate_round(D: np.ndarray, config: FedConfig, norms: list):
 
     ``D`` is the round's (m_t, P) float64 update matrix; it is left
     unchanged. ``norms`` are its rows' norms, which l2_norm took (and so
-    checked the rows finite). Each row is clipped into one reused vector and
-    added to a running total in order, which is how D.sum(axis=0) adds the
-    rows of a C-contiguous matrix, so the average is bit-identical to summing
-    the clipped matrix.
+    checked the rows finite). A row that dual_clip's factor leaves alone is
+    added to a running total as it is; any other is clipped into one reused
+    vector first. Rows are added in order, which is how D.sum(axis=0) adds
+    the rows of a C-contiguous matrix, so the average is bit-identical to
+    summing the clipped matrix.
     Returns (averaged update, S_used, list of ClipReport).
     """
     S = adaptive_S(norms) if config.S_policy == "median_adaptive" else config.S_fixed
@@ -175,9 +181,12 @@ def aggregate_round(D: np.ndarray, config: FedConfig, norms: list):
     clipped = np.empty_like(total)
     reports = []
     for row, norm in zip(D, norms):
-        row, report = dual_clip(row, S, config.M, norm=norm, out=clipped)
+        if max(1.0, norm / S, norm / config.M) == 1.0:  # dual_clip's test for no clip
+            reports.append(ClipReport(norm, 1.0, "none"))
+        else:
+            row, report = dual_clip(row, S, config.M, norm=norm, out=clipped)
+            reports.append(report)
         total += row
-        reports.append(report)
     return total / len(D), S, reports
 
 
@@ -209,12 +218,10 @@ def run_round(
             pass
 
     spans = [(shards[cid].start, shards[cid].stop) for cid in sampled]
-    if state.plan is None or state.plan[0] != spans:
-        state.plan = (spans, models.schedule(spec, spans, config.batch_size))
-    models.train_clients(
-        spec, D, state.w_global, shards[0].pool, state.plan[1], config.epochs, config.lr,
-        [round_stream.child("client", cid) for cid in sampled], finish,
-    )
+    if state.plan is None or state.plan.spans != spans:
+        state.plan = models.Plan(spec, spans, config.batch_size, D)
+    models.train_clients(spec, state.w_global, shards[0].pool, state.plan, config.epochs,
+                         config.lr, round_stream, sampled, finish)
     for cid, norm in zip(sampled, norms):
         if norm is None:
             raise SimulationError(f"non-finite update from client {cid} in round {t}")

@@ -255,7 +255,7 @@ def centralized_baseline(cfg: ExperimentConfig, train: LabeledBatch, test: Label
     for t in range(cfg.fed.T):
         w = models.local_train(
             spec, w, train, cfg.fed.epochs, cfg.fed.lr, cfg.fed.batch_size,
-            root.child("round", t).child("client", 0),
+            root.child("round", t), 0,
         )
     return w, models.evaluate(spec, w, test)
 

@@ -8,28 +8,35 @@ views. A stack of models is a (g, P) matrix, one model per row.
 :func:`train_clients` runs minibatch SGD for many clients together, client i
 in row i of a matrix that it updates in place, on row spans of one pool.
 Each epoch it runs :func:`schedule`'s groups: the full minibatches step by
-step, then the short last ones grouped by row count. A group's rows are one
-gather from the pool, and its forward and backward passes run as one stacked
-matmul per product, which applies to every (n, d) slice the kernel that one
-model's 2-D product uses. Each row therefore ends bit-identical to training
-its client alone. A row is set to the start model at its client's first
-step and handed to a caller's hook right after its last step, so a wide
-model's row is finished while it is still in cache. Overflow is ignored:
-runaway weights saturate the probabilities, and the hook's norm check
-reports the update.
-:func:`local_train` trains one model with its own loop: it gathers each
-epoch's shuffled shard once and steps over slices of it. It, :func:`gradient`
-and :func:`train_clients` share one gradient formula, :func:`_gradients`.
+step, then the short last ones grouped by row count. A :class:`Plan` binds
+those groups to the matrix once, while the sampled spans repeat: every
+client's pool rows (shuffled in place each epoch by
+numeric.shuffle_clients), each group's parameter and gradient views, and
+the buffers its minibatch and its intermediates are written into. An epoch
+therefore costs one pass over the groups plus the shuffles. A group's rows
+are one gather from the pool, and its forward and backward passes run as
+one stacked matmul per product, which applies to every (n, d) slice the
+kernel that one model's 2-D product uses. Each row therefore ends
+bit-identical to training its client alone. A row is set to the start
+model at its client's first step and handed to a caller's hook right after
+its last step, so a wide model's row is finished while it is still in
+cache. Overflow is ignored: runaway weights saturate the probabilities, and
+the hook's norm check reports the update.
+:func:`local_train` trains one model with its own loop: it shuffles and
+gathers each epoch's shard once and steps over slices of it. It,
+:func:`gradient` and :func:`train_clients` share one gradient formula,
+:func:`_gradients`, which writes every intermediate into work arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .numeric import ParamVector, RngStream, check_types, permutations
+from .numeric import ParamVector, RngStream, check_types, shuffle_clients
 
 PROB_CLAMP = 1e-12
 
@@ -84,6 +91,13 @@ class LabeledBatch:
     def take(self, idx) -> "LabeledBatch":
         return LabeledBatch(self.features[idx], self.labels[idx], self.groups[idx])
 
+    @cached_property
+    def group_index(self) -> tuple:
+        """(the groups present, ascending, as ints; each row's position among
+        them; each group's row count), worked out once per batch."""
+        groups, index, counts = np.unique(self.groups, return_inverse=True, return_counts=True)
+        return groups.tolist(), index, counts
+
 
 @dataclass(frozen=True)
 class EvalMetrics:
@@ -118,29 +132,60 @@ def _T(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-1, -2)
 
 
-def _forward(spec: ModelSpec, parts, X: np.ndarray):
-    """Return (probabilities, hidden activations or None).
+def _work(spec: ModelSpec, lead: tuple, flat=None) -> tuple:
+    """The work arrays :func:`_forward` and :func:`_gradients` compute in, for
+    inputs of lead = (..., n) rows: the head's outputs (..., n, n_out), one
+    value per row (..., n, 1) and, for the MLP, the hidden activations and
+    their backward pass, each (..., n, h). They are the leading elements of
+    the flat buffers when given (one per array, as :func:`_work_widths`
+    lists them), else new arrays."""
+    widths = _work_widths(spec)
+    if flat is None:
+        return tuple(np.empty(lead + (w,)) for w in widths)
+    size = math.prod(lead)
+    return tuple(b[: size * w].reshape(lead + (w,)) for b, w in zip(flat, widths))
+
+
+def _work_widths(spec: ModelSpec) -> tuple:
+    mlp = spec.kind == "mlp_1hidden"
+    return (spec.n_out, 1) + ((spec.hidden_units,) * 2 if mlp else ())
+
+
+def _forward(spec: ModelSpec, parts, X: np.ndarray, work: tuple):
+    """Return (probabilities, hidden activations or None), both views of the
+    work arrays (see :func:`_work`).
 
     parts are :func:`_unflatten`'s blocks of one model (P,) with X (n, d), or
     of a stack of models (g, P) with one minibatch each, X (g, n, d). Binary
     heads return p(class=1) of shape (..., n); softmax heads return the full
     (..., n, n_classes) matrix.
     """
+    z, r = work[:2]
     if spec.kind == "logistic_regression":
         W, b = parts
-        z = X @ _T(W) + b[..., None, :]
+        np.matmul(X, _T(W), out=z)
+        z += b[..., None, :]
         hidden = None
     else:
         W1, b1, W2, b2 = parts
-        hidden = np.tanh(X @ W1 + b1[..., None, :])
-        z = hidden @ W2 + b2[..., None, :]
-    if spec.n_out == 1:
-        p = 1.0 / (1.0 + np.exp(-z[..., 0]))
-    else:
-        z = z - z.max(axis=-1, keepdims=True)
-        e = np.exp(z)
-        p = e / e.sum(axis=-1, keepdims=True)
-    return p, hidden
+        hidden = work[2]
+        np.matmul(X, W1, out=hidden)
+        hidden += b1[..., None, :]
+        np.tanh(hidden, out=hidden)
+        np.matmul(hidden, W2, out=z)
+        z += b2[..., None, :]
+    if spec.n_out == 1:  # 1 / (1 + exp(-z))
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        z += 1.0
+        np.divide(1.0, z, out=z)
+        return z[..., 0], hidden
+    np.max(z, axis=-1, keepdims=True, out=r)
+    z -= r
+    np.exp(z, out=z)
+    np.sum(z, axis=-1, keepdims=True, out=r)
+    z /= r
+    return z, hidden
 
 
 def init_params(spec: ModelSpec, rng: RngStream) -> ParamVector:
@@ -165,40 +210,45 @@ def loss(spec: ModelSpec, w: ParamVector, batch: LabeledBatch) -> float:
     """Mean cross-entropy with probabilities clamped away from 0 and 1."""
     if len(batch) == 0:
         raise ValueError("loss of empty batch is undefined")
-    p, _ = _forward(spec, _unflatten(spec, w), batch.features)
+    p, _ = _forward(spec, _unflatten(spec, w), batch.features, _work(spec, batch.labels.shape))
     return _mean_loss(spec, p, batch.labels)
 
 
-def _gradients(spec: ModelSpec, parts, X: np.ndarray, y: np.ndarray, grads) -> None:
+def _gradients(spec: ModelSpec, parts, X: np.ndarray, y: np.ndarray, grads,
+               work: tuple) -> None:
     """Write the analytic gradients of :func:`loss` into grads.
 
     parts and grads are :func:`_unflatten`'s views of the parameters and of a
     gradient buffer of the same shape: one model (P,) with its minibatch of n
     rows X (n, d), y (n,), or a stack of models (g, P), each with its own
-    minibatch, X (g, n, d), y (g, n). Every product of a stack is a stacked
-    matmul whose slices have the strides a single model's 2-D product has, so
-    each slice runs the same kernel and model k's gradient is bit-identical
-    to the gradient of model k alone.
+    minibatch, X (g, n, d), y (g, n). work is :func:`_work` for y's shape;
+    every intermediate is written into it. Every product of a stack is a
+    stacked matmul whose slices have the strides a single model's 2-D product
+    has, so each slice runs the same kernel and model k's gradient is
+    bit-identical to the gradient of model k alone.
     """
     n = y.shape[-1]
-    p, hidden = _forward(spec, parts, X)
+    p, hidden = _forward(spec, parts, X, work)
+    delta = work[0]  # p's array, (..., n, n_out)
     if spec.n_out == 1:
-        delta = (p - y.astype(np.float64))[..., None] / n  # (..., n, 1)
+        p -= y
     else:
-        delta = p
         delta -= y[..., None] == np.arange(spec.n_out)
-        delta /= n  # (..., n, C)
+    delta /= n
     if spec.kind == "logistic_regression":
         gW, gb = grads
         np.matmul(_T(delta), X, out=gW)
         gb[...] = delta.sum(axis=-2)
         return
     gW1, gb1, gW2, gb2 = grads
-    back = (delta @ _T(parts[2])) * (1.0 - hidden ** 2)  # (..., n, h)
-    np.matmul(_T(X), back, out=gW1)
-    gb1[...] = back.sum(axis=-2)
     np.matmul(_T(hidden), delta, out=gW2)
     gb2[...] = delta.sum(axis=-2)
+    back = np.matmul(delta, _T(parts[2]), out=work[3])  # (..., n, h)
+    np.square(hidden, out=hidden)
+    np.subtract(1.0, hidden, out=hidden)
+    back *= hidden
+    np.matmul(_T(X), back, out=gW1)
+    gb1[...] = back.sum(axis=-2)
 
 
 @np.errstate(over="ignore")
@@ -207,7 +257,8 @@ def gradient(spec: ModelSpec, w: ParamVector, batch: LabeledBatch) -> ParamVecto
     if len(batch) == 0:
         raise ValueError("gradient of empty batch is undefined")
     G = np.empty(spec.param_dim)
-    _gradients(spec, _unflatten(spec, w), batch.features, batch.labels, _unflatten(spec, G))
+    _gradients(spec, _unflatten(spec, w), batch.features, batch.labels, _unflatten(spec, G),
+               _work(spec, batch.labels.shape))
     return G
 
 
@@ -268,49 +319,102 @@ def schedule(spec: ModelSpec, spans, batch_size: int) -> tuple:
     return sizes, np.repeat(spans[:, 0], sizes), groups, order
 
 
+class Plan:
+    """:func:`schedule`'s groups for clients on these spans of a pool, bound
+    once to the (m, P) matrix W that :func:`train_clients` trains them in.
+
+    It holds everything an epoch reuses: every client's pool rows (the
+    template its shuffle starts from), the buffer they are shuffled in and
+    its per-client views, and one step per group. Shuffling a client's rows
+    start .. stop - 1 in place draws the swaps of shuffling 0 .. n - 1, so
+    the buffer then holds start plus the client's permutation. A step
+    holds the group's parameter and gradient views, its minibatch buffers and
+    its work arrays (see :func:`_work`). A contiguous group's parameters are
+    views of W; a group of scattered clients is gathered into a buffer and
+    written back after each step. Groups run one after another, so all of
+    them share one buffer of each kind, sized for the largest group, and
+    groups of one shape share its views.
+    """
+
+    def __init__(self, spec: ModelSpec, spans: list, batch_size: int, W: np.ndarray):
+        self.spans, self.W = spans, W
+        sizes, offsets, groups, order = schedule(spec, spans, batch_size)
+        local = np.arange(len(offsets)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        self.span_rows = offsets + local  # client i's pool rows start .. stop - 1
+        self.shuffled = np.empty_like(self.span_rows)
+        self.views = np.split(self.shuffled, np.cumsum(sizes)[:-1])
+        self.order = order
+        self.rows = np.empty_like(order)  # the epoch's pool rows, in group order
+
+        P, d = spec.param_dim, spec.n_features
+        members = [rows.stop - rows.start if isinstance(rows, slice) else len(rows)
+                   for rows, *_ in groups]
+        max_cells = max(c.stop - c.start for *_, c in groups)
+        X, y = np.empty(max_cells * d), np.empty(max_cells, dtype=np.int64)
+        G, gathered = np.empty(max(members) * P), np.empty(max(members) * P)
+        work = [np.empty(max_cells * w) for w in _work_widths(spec)]
+        shapes = {}
+        self.steps = []
+        for g, (rows, n, fresh, done, cells) in zip(members, groups):
+            if (g, n) not in shapes:
+                Gg, Wb = G[: g * P].reshape(g, P), gathered[: g * P].reshape(g, P)
+                shapes[g, n] = (X[: g * n * d].reshape(g, n, d), y[: g * n].reshape(g, n),
+                                Gg, _unflatten(spec, Gg), _work(spec, (g, n), work),
+                                Wb, _unflatten(spec, Wb))
+            Xg, yg, Gg, grads, work_g, Wb, Wb_parts = shapes[g, n]
+            if isinstance(rows, slice):
+                gather, Wg = None, W[rows]
+                parts = _unflatten(spec, Wg)
+            else:
+                gather, Wg, parts = np.array(rows), Wb, Wb_parts
+            self.steps.append((self.rows[cells].reshape(g, n), Xg, yg, gather, Wg, parts, Gg,
+                               grads, work_g, fresh, done))
+
+
 @np.errstate(over="ignore")
 def train_clients(
     spec: ModelSpec,
-    W: np.ndarray,
     w0: ParamVector,
     pool: LabeledBatch,
-    plan: tuple,
+    plan: Plan,
     epochs: int,
     lr: float,
-    rngs: list,
+    rng: RngStream,
+    ids: list,
     finish=None,
 ) -> None:
     """Minibatch SGD for m clients at once from the start model w0, client i
-    in row i of W.
+    in row i of plan.W.
 
-    Client i trains on its span of pool, and plan is :func:`schedule` of the
+    Client i trains on its span of pool, and plan is the :class:`Plan` of the
     spans. Row i of W is set to w0 at the client's first step (whatever W
-    held before is ignored) and updated in place. Each epoch, client i
-    reshuffles its rows with a permutation from rngs[i].child("epoch", e)
-    and the plan's groups run in turn. A group's rows are one take from the
-    pool, and its forward and backward passes run as one stacked matmul per
-    product (see :func:`_gradients`), so every row ends bit-identical to
-    training its client alone. Right after client i's last step, finish(i)
-    is called, once per client, in the order the groups run.
+    held before is ignored) and updated in place. Each epoch, client i's
+    pool rows are shuffled in place as rng.child("client", ids[i])
+    .child("epoch", e) would shuffle them (see :func:`shuffle_clients`), and
+    the plan's groups run in turn. A group's rows are one take from the pool
+    into its buffers, and its forward and backward passes run as one stacked
+    matmul per product (see :func:`_gradients`), so every row ends
+    bit-identical to training its client alone. Right after client i's last
+    step, finish(i) is called, once per client, in the order the groups run.
     """
-    sizes, offsets, groups, order = plan
-    d = spec.n_features
+    W, rows = plan.W, plan.rows
     for e in range(epochs):
-        idx = np.concatenate(permutations([rng.child("epoch", e) for rng in rngs], sizes))
-        idx += offsets
-        idx = idx[order]
-        for rows, n, fresh, done, cells in groups:
-            X = pool.features.take(idx[cells], axis=0).reshape(-1, n, d)
-            y = pool.labels.take(idx[cells]).reshape(-1, n)
-            Wg = W[rows]  # a view when the rows are contiguous, else a copy
+        np.copyto(plan.shuffled, plan.span_rows)
+        shuffle_clients(rng, ids, e, plan.views)
+        np.take(plan.shuffled, plan.order, out=rows)
+        for idx, X, y, gather, Wg, parts, G, grads, work, fresh, done in plan.steps:
+            # every index is in range: mode "clip" only spares take a buffer
+            pool.features.take(idx, axis=0, out=X, mode="clip")
+            pool.labels.take(idx, out=y, mode="clip")
+            if gather is not None:
+                W.take(gather, axis=0, out=Wg, mode="clip")
             if e == 0 and fresh:
                 Wg[fresh] = w0
-            G = np.empty(Wg.shape)
-            _gradients(spec, _unflatten(spec, Wg), X, y, _unflatten(spec, G))
+            _gradients(spec, parts, X, y, grads, work)
             G *= lr
             Wg -= G
-            if not isinstance(rows, slice):
-                W[rows] = Wg
+            if gather is not None:
+                W[gather] = Wg
             if finish is not None and e == epochs - 1:
                 for i in done:
                     finish(i)
@@ -325,23 +429,30 @@ def local_train(
     lr: float,
     batch_size: int,
     rng: RngStream,
+    cid: int,
 ) -> ParamVector:
     """Mini-batch SGD for one client, bit-identical to :func:`train_clients`
-    with one row.
+    training client cid alone with the round stream rng.
 
-    Each epoch gathers the shard in the order of a permutation from
-    rng.child("epoch", e) and steps over it batch_size rows at a time; the
-    last minibatch is shorter when batch_size does not divide the shard.
+    Each epoch shuffles the shard's local indices as train_clients shuffles
+    client cid's, gathers the shard in that order once and steps over it
+    batch_size rows at a time; the last minibatch is shorter when batch_size
+    does not divide the shard.
     """
     w = np.array(w0, dtype=np.float64)  # a copy, returned as is at 0 epochs
     G = np.empty_like(w)
     parts, grads = _unflatten(spec, w), _unflatten(spec, G)
+    n = len(batch)
+    # work arrays for each minibatch size: a full one, and a shorter last one
+    work = {m: _work(spec, (m,)) for m in {min(batch_size, n), n % batch_size} - {0}}
     for e in range(epochs):
-        (perm,) = permutations([rng.child("epoch", e)], [len(batch)])
+        perm = np.arange(n)
+        shuffle_clients(rng, [cid], e, [perm])
         X, y = batch.features.take(perm, axis=0), batch.labels.take(perm)
-        for start in range(0, len(y), batch_size):
+        for start in range(0, n, batch_size):
             end = start + batch_size
-            _gradients(spec, parts, X[start:end], y[start:end], grads)
+            yb = y[start:end]
+            _gradients(spec, parts, X[start:end], yb, grads, work[len(yb)])
             G *= lr
             w -= G
     return w
@@ -350,16 +461,14 @@ def local_train(
 @np.errstate(over="ignore")
 def evaluate(spec: ModelSpec, w: ParamVector, data: LabeledBatch) -> EvalMetrics:
     """Accuracy (ties break toward the lowest class index), per-group accuracy
-    and :func:`loss`, from one forward pass over data."""
-    p, _ = _forward(spec, _unflatten(spec, w), data.features)
+    and :func:`loss`, from one forward pass over data and its group index."""
+    p, _ = _forward(spec, _unflatten(spec, w), data.features, _work(spec, data.labels.shape))
     yhat = (p > 0.5).astype(np.int64) if spec.n_out == 1 else np.argmax(p, axis=1)
     correct = yhat == data.labels
-    per_group = {}
-    for g in np.unique(data.groups):
-        mask = data.groups == g
-        per_group[int(g)] = float(np.mean(correct[mask]))
+    groups, index, counts = data.group_index
+    hits = np.bincount(index, weights=correct, minlength=len(groups))
     return EvalMetrics(
         accuracy=float(np.mean(correct)),
-        per_group_accuracy=per_group,
+        per_group_accuracy=dict(zip(groups, (hits / counts).tolist())),
         loss=_mean_loss(spec, p, data.labels),
     )

@@ -3,8 +3,9 @@
 All randomness in the simulator flows through :class:`RngStream`, an immutable
 handle over a counter-based generator (Philox). Substreams are derived by
 label/index paths, so draws from disjoint paths can never perturb each
-other's sequences. :func:`permutations` draws many substreams' shuffles at
-once, bit-identical to drawing them one stream at a time.
+other's sequences. :func:`shuffle_clients` shuffles a round's client index
+buffers in place, each bit-identical to its client's own substream, with
+every client's Philox key derived in one vectorized pass.
 """
 
 from __future__ import annotations
@@ -152,10 +153,7 @@ def _entropy_words(stream: RngStream) -> list:
         words += [0] * (_POOL - len(words))
     for label, index in stream.stream_path:
         words.append(_label_word(label))
-        if index > _MASK32:
-            words += _int_words(index)
-        else:
-            words.append(index)
+        words += _int_words(index)
     return words
 
 
@@ -179,24 +177,41 @@ def _philox_keys(words: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64)
 
 
-def permutations(streams, sizes) -> list:
-    """[s.generator().permutation(n) for s, n in zip(streams, sizes)], bit for
-    bit, with the streams' keys derived together (see :func:`_philox_keys`)
-    and every permutation drawn from one Philox, whose whole state (the
-    stream's key, counter 0, empty buffer) is set before each draw."""
-    rows = [_entropy_words(s) for s in streams]
-    groups = {}  # rows of one length and the same pool-sized head hash together
-    for i, row in enumerate(rows):
-        groups.setdefault((len(row), tuple(row[:_POOL])), []).append(i)
-    keys = np.empty((len(rows), 2), dtype=np.uint64)
-    for idx in groups.values():
-        keys[idx] = _philox_keys(np.array([rows[i] for i in idx], dtype=np.uint32))
+def shuffle_clients(stream: RngStream, ids, epoch: int, views) -> None:
+    """Shuffle each views[i] in place, bit for bit as
+    stream.child("client", ids[i]).child("epoch", epoch).generator().shuffle
+    would.
+
+    Every client's stream shares its path words up to the client id, so one
+    uint32 matrix holds all their entropy words: the shared words, the id
+    columns, the epoch words. Ids of more than one word are grouped by row
+    length, and :func:`_philox_keys` derives each group's keys at once. Every
+    shuffle is drawn from one Philox whose whole state (the client's key,
+    counter 0, empty buffer) is set before it. permutation(n) is arange(n)
+    shuffled, and a shuffle's swaps do not depend on the values shuffled, so
+    a view that holds start + arange(n) ends as start plus that permutation.
+    """
+    head = _entropy_words(stream.child("client", 0))[:-1]  # the words before the id
+    tail = [_label_word("epoch")] + _int_words(epoch)
+    if max(ids, default=0) <= _MASK32:  # one word per id: one matrix
+        groups = [(np.arange(len(ids)), np.array(ids, dtype=np.uint32)[:, None])]
+    else:
+        by_len = {}
+        for i, cid in enumerate(ids):
+            by_len.setdefault(len(_int_words(cid)), []).append(i)
+        groups = [(rows, np.array([_int_words(ids[i]) for i in rows], dtype=np.uint32))
+                  for rows in by_len.values()]
+    keys = np.empty((len(ids), 2), dtype=np.uint64)
+    for rows, id_words in groups:
+        words = np.empty((len(rows), len(head) + id_words.shape[1] + len(tail)), dtype=np.uint32)
+        words[:, : len(head)] = head
+        words[:, len(head) : -len(tail)] = id_words
+        words[:, -len(tail) :] = tail
+        keys[rows] = _philox_keys(words)
     bit_generator = np.random.Philox(0)  # its seed is never drawn from
     generator = np.random.Generator(bit_generator)
     state = bit_generator.state
-    out = []
-    for key, n in zip(keys, sizes):
+    for key, view in zip(keys, views):
         state["state"]["key"] = key
         bit_generator.state = state
-        out.append(generator.permutation(n))
-    return out
+        generator.shuffle(view)

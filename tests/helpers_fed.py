@@ -59,7 +59,7 @@ def fedavg_reference(config, spec, shards):
         for cid in sampled:
             w_local = models.local_train(
                 spec, w, shards[cid].batch, config.epochs, config.lr,
-                config.batch_size, root.child("round", t).child("client", cid),
+                config.batch_size, root.child("round", t), cid,
             )
             deltas.append(w_local - w)
         w = w + np.mean(deltas, axis=0)

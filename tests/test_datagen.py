@@ -46,7 +46,7 @@ class TestGenerate:
         train, test = generate(spec, RngStream(4).child("data"))
         mspec = ModelSpec(kind="logistic_regression", n_features=10)
         w = models.init_params(mspec, RngStream(4).child("init"))
-        w = models.local_train(mspec, w, train, 20, 0.5, 64, RngStream(4).child("t"))
+        w = models.local_train(mspec, w, train, 20, 0.5, 64, RngStream(4).child("t"), 0)
         assert models.evaluate(mspec, w, test).accuracy > 0.95
 
     def test_labels_near_balanced(self):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from helpers_fed import fedavg_reference, scenario_config
 from test_models import finish_order
 
-from fairdpfed import models
+from fairdpfed import federation, models
 from fairdpfed.clipping import dual_clip
 from fairdpfed.datagen import BiasTag
 from fairdpfed.federation import (
@@ -157,6 +158,65 @@ class TestAggregateMatrix:
         assert avg.tobytes() == (before.sum(axis=0) / m).tobytes()
         assert reports == ref_reports
         assert {r.clipped_by for r in reports} == {"none", "dp_bound"}
+
+
+def rowwise_dual_clip_aggregate(D, config, norms):
+    """The server loop aggregate_round replaced: dual_clip on every row into
+    one reused vector, each row added to a running total."""
+    S = adaptive_S(norms) if config.S_policy == "median_adaptive" else config.S_fixed
+    total = np.zeros(D.shape[1])
+    clipped = np.empty_like(total)
+    reports = []
+    for row, norm in zip(D, norms):
+        row, report = dual_clip(row, S, config.M, norm=norm, out=clipped)
+        total += row
+        reports.append(report)
+    return total / len(D), S, reports
+
+
+class TestLeanAggregate:
+    @pytest.mark.parametrize("P", [21, 353, 28_426])
+    def test_matches_rowwise_dual_clip_bit_for_bit_and_leaves_D_alone(self, P):
+        g = np.random.default_rng(P)
+        D = g.standard_normal((12, P)) / math.sqrt(P)  # norms near 1
+        D *= np.array([0.1, 0.5, 0.9, 1.0, 1.5, 2.5, 4.0, 0.2, 3.0, 0.7, 8.0, 1.2])[:, None]
+        D[3] = 0.0
+        D[3, 0] = 1.0  # norm exactly 1: on the threshold of every config with S or M = 1
+        norms = [l2_norm(row) for row in D]
+        before = D.tobytes()
+        branches = set()
+        for S_policy, S_fixed, M in [("fixed", 1.0, 2.0), ("fixed", 2.0, 1.0),
+                                     ("fixed", 1.0, 1.0), ("median_adaptive", 1.0, 2.0),
+                                     ("median_adaptive", 1.0, 0.6), ("fixed", 1.0, math.inf)]:
+            cfg = FedConfig(K=len(D), S_policy=S_policy, S_fixed=S_fixed, M=M)
+            avg, S, reports = aggregate_round(D, cfg, norms)
+            ref_avg, ref_S, ref_reports = rowwise_dual_clip_aggregate(D, cfg, norms)
+            assert avg.tobytes() == ref_avg.tobytes()
+            assert S == ref_S and reports == ref_reports
+            assert D.tobytes() == before
+            branches |= {r.clipped_by for r in reports}
+        assert branches == {"none", "dp_bound", "bias_bound"}
+
+
+class TestRunOwnsItsBuffers:
+    def test_nothing_a_run_binds_outlives_it(self, monkeypatch):
+        """The update matrix, and the plan's views of it, live as long as
+        the run: a cache that kept them would keep their memory too."""
+        refs = []
+        original = federation.run_round
+
+        def spy(state, *args):
+            state, record = original(state, *args)
+            refs.append(weakref.ref(state.updates))
+            return state, record
+
+        monkeypatch.setattr(federation, "run_round", spy)
+        config = scenario_config(T=2, K=5, n_examples=200)
+        _, test, shards = build_scenario(config)
+        result = run_training(config.fed, config.model_spec, shards, test)
+        assert len(refs) == config.fed.T
+        del result
+        assert all(ref() is None for ref in refs)
 
 
 class TestUpdateBuffer:

@@ -120,26 +120,26 @@ class TestLocalTrain:
     def test_zero_epochs_is_identity(self):
         batch = random_batch(LOGREG)
         w0 = models.init_params(LOGREG, RngStream(0).child("w"))
-        w = models.local_train(LOGREG, w0, batch, 0, 0.1, 4, RngStream(0).child("t"))
+        w = models.local_train(LOGREG, w0, batch, 0, 0.1, 4, RngStream(0).child("t"), 0)
         assert np.array_equal(w, w0)
 
     def test_single_full_batch_step(self):
         batch = random_batch(LOGREG)
         w0 = models.init_params(LOGREG, RngStream(0).child("w"))
-        w = models.local_train(LOGREG, w0, batch, 1, 0.1, len(batch), RngStream(0).child("t"))
+        w = models.local_train(LOGREG, w0, batch, 1, 0.1, len(batch), RngStream(0).child("t"), 0)
         expected = w0 - 0.1 * models.gradient(LOGREG, w0, batch)
         assert np.allclose(w, expected, atol=0)
 
     def test_deterministic(self):
         batch = random_batch(MLP, n=30)
         w0 = models.init_params(MLP, RngStream(1).child("w"))
-        run = lambda: models.local_train(MLP, w0, batch, 3, 0.05, 8, RngStream(1).child("t"))
+        run = lambda: models.local_train(MLP, w0, batch, 3, 0.05, 8, RngStream(1).child("t"), 0)
         assert np.array_equal(run(), run())
 
     def test_tiny_lr_stays_near_w0(self):
         batch = random_batch(LOGREG)
         w0 = models.init_params(LOGREG, RngStream(0).child("w"))
-        w = models.local_train(LOGREG, w0, batch, 1, 1e-14, len(batch), RngStream(0).child("t"))
+        w = models.local_train(LOGREG, w0, batch, 1, 1e-14, len(batch), RngStream(0).child("t"), 0)
         assert np.all(np.abs(w - w0) < 1e-12)
 
     def test_full_batch_descent_nonincreasing(self):
@@ -147,17 +147,17 @@ class TestLocalTrain:
         w = models.init_params(LOGREG, RngStream(2).child("w"))
         prev = models.loss(LOGREG, w, batch)
         for _ in range(50):
-            w = models.local_train(LOGREG, w, batch, 1, 1e-2, len(batch), RngStream(2).child("t"))
+            w = models.local_train(LOGREG, w, batch, 1, 1e-2, len(batch), RngStream(2).child("t"), 0)
             cur = models.loss(LOGREG, w, batch)
             assert cur <= prev + 1e-12
             prev = cur
 
 
-def one_row_train_clients(spec, w0, batch, epochs, lr, batch_size, rng):
+def one_row_train_clients(spec, w0, batch, epochs, lr, batch_size, rng, cid):
     """The reference for local_train: train_clients with one row from w0."""
     W = np.full((1, spec.param_dim), np.nan)
-    plan = models.schedule(spec, [(0, len(batch))], batch_size)
-    models.train_clients(spec, W, w0, batch, plan, epochs, lr, [rng])
+    plan = models.Plan(spec, [(0, len(batch))], batch_size, W)
+    models.train_clients(spec, w0, batch, plan, epochs, lr, rng, [cid])
     return W[0]
 
 
@@ -169,9 +169,9 @@ class TestOneModelPath:
     def test_local_train_matches_one_row_train_clients(self, spec, epochs, n, batch_size):
         batch = random_batch(spec, n=n, seed=n)
         w0 = models.init_params(spec, RngStream(9).child("init"))
-        rng = RngStream(9).child("client", 0)
-        got = models.local_train(spec, w0, batch, epochs, 0.1, batch_size, rng)
-        want = one_row_train_clients(spec, w0, batch, epochs, 0.1, batch_size, rng)
+        rng = RngStream(9).child("round", 0)
+        got = models.local_train(spec, w0, batch, epochs, 0.1, batch_size, rng, 0)
+        want = one_row_train_clients(spec, w0, batch, epochs, 0.1, batch_size, rng, 0)
         assert np.array_equal(got, want)
         assert np.array_equal(w0, models.init_params(spec, RngStream(9).child("init")))
 
@@ -183,7 +183,8 @@ class TestOneModelPath:
         X = np.stack([b.features for b in batches])
         y = np.stack([b.labels for b in batches])
         G = np.empty_like(W)
-        models._gradients(spec, models._unflatten(spec, W), X, y, models._unflatten(spec, G))
+        models._gradients(spec, models._unflatten(spec, W), X, y, models._unflatten(spec, G),
+                          models._work(spec, y.shape))
         for k in range(3):
             assert np.array_equal(models.gradient(spec, W[k], batches[k]), G[k])
 
@@ -287,10 +288,13 @@ class TestTrainClients:
         return partition(train, 9, scheme, RngStream(3).child("p"))
 
     @staticmethod
-    def train(spec, W, w0, shards, epochs, rngs, finish=None):
-        plan = models.schedule(spec, [(s.start, s.stop) for s in shards],
-                               TestTrainClients.BATCH_SIZE)
-        models.train_clients(spec, W, w0, shards[0].pool, plan, epochs, 0.1, rngs, finish)
+    def train(spec, W, w0, shards, epochs, finish=None):
+        """Train every shard's client, client i with RngStream(4)'s substreams
+        of id i, as the rngs of the per-client loop are."""
+        plan = models.Plan(spec, [(s.start, s.stop) for s in shards],
+                           TestTrainClients.BATCH_SIZE, W)
+        models.train_clients(spec, w0, shards[0].pool, plan, epochs, 0.1, RngStream(4),
+                             list(range(len(shards))), finish)
 
     @pytest.mark.parametrize("spec", [LOGREG, SOFTMAX, MLP], ids=["binary", "softmax", "mlp"])
     @pytest.mark.parametrize("epochs", [1, 2, 8])
@@ -306,7 +310,7 @@ class TestTrainClients:
         w0 = models.init_params(spec, RngStream(4).child("init"))
         rngs = [RngStream(4).child("client", i) for i in range(len(shards))]
         W = np.full((len(shards), spec.param_dim), np.nan)  # rows start from w0
-        self.train(spec, W, w0, shards, epochs, rngs)
+        self.train(spec, W, w0, shards, epochs)
         for row, shard, rng in zip(W, shards, rngs):
             assert np.array_equal(row, per_client_sgd(spec, w0, shard.batch, epochs, 0.1, bs,
                                                       rng))
@@ -331,7 +335,7 @@ class TestTrainClients:
             calls.append(i)
             W[i] = np.nan  # later steps must not touch a finished row
 
-        self.train(MLP, W, w0, shards, 2, rngs, finish)
+        self.train(MLP, W, w0, shards, 2, finish)
         # clients whose last minibatch is full finish in step order, then the
         # rest by their last minibatch's row count
         assert calls == finish_order(sizes, bs)

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fairdpfed.numeric import RngStream, l2_norm, permutations
+from test_models import MLP, one_row_train_clients, random_batch
+
+from fairdpfed import models
+from fairdpfed.numeric import RngStream, l2_norm, shuffle_clients
 
 
 class TestL2Norm:
@@ -84,29 +87,65 @@ PATHS = st.lists(st.tuples(st.sampled_from(["round", "client", "epoch", ""]), WO
                  max_size=4).map(tuple)
 
 
+def shuffled(stream, ids, epoch, sizes):
+    """shuffle_clients on one arange(n) array per client; the arrays."""
+    views = [np.arange(n) for n in sizes]
+    shuffle_clients(stream, ids, epoch, views)
+    return views
+
+
+def own_permutation(stream, cid, epoch, n):
+    """What client cid's own substream generator draws."""
+    return stream.child("client", cid).child("epoch", epoch).generator().permutation(n)
+
+
 class TestPermutations:
-    @given(WORDS, st.lists(st.tuples(PATHS, st.integers(0, 40)), min_size=1, max_size=6))
-    def test_equal_to_each_streams_generator(self, seed, drawn):
-        streams = [RngStream(seed, path) for path, _ in drawn]
+    """shuffle_clients shuffles arange(n) buffers into the permutations each
+    client's own substream draws."""
+
+    @given(WORDS, PATHS, st.lists(st.tuples(WORDS, st.integers(0, 40)), min_size=1, max_size=6),
+           WORDS)
+    def test_equal_to_each_streams_generator(self, seed, path, drawn, epoch):
+        stream = RngStream(seed, path)
+        ids = [cid for cid, _ in drawn]
         sizes = [n for _, n in drawn]
-        bulk = permutations(streams, sizes)
-        for s, n, perm in zip(streams, sizes, bulk):
-            assert np.array_equal(perm, s.generator().permutation(n))
+        for cid, n, perm in zip(ids, sizes, shuffled(stream, ids, epoch, sizes)):
+            assert np.array_equal(perm, own_permutation(stream, cid, epoch, n))
 
     @pytest.mark.parametrize("seed", [0, 7, 2**32 + 3, 2**64 + 5])
     def test_a_rounds_clients_at_once(self, seed):
         """The shape train_clients asks for: many clients, one epoch each,
-        sharing every path word up to the client index."""
+        with ids of one, two and three words and an empty shard, each
+        shuffling its pool rows start .. stop - 1 in its view of one buffer."""
         round_stream = RngStream(seed).child("round", 3)
-        streams = [round_stream.child("client", cid).child("epoch", 1)
-                   for cid in [0, 5, 2**32 - 1, 2**32, 2**40 + 9]]
-        sizes = [1, 13, 32, 7, 200]
-        bulk = permutations(streams, sizes)
-        for s, n, perm in zip(streams, sizes, bulk):
-            assert np.array_equal(perm, s.generator().permutation(n))
+        ids = [0, 5, 2**32 - 1, 2**32, 2**40 + 9, 2**64 + 1, 8]
+        sizes = [1, 13, 32, 7, 200, 5, 0]
+        buffer = np.arange(1000, 1000 + sum(sizes))
+        views = np.split(buffer, np.cumsum(sizes)[:-1])
+        starts = [int(v[0]) if len(v) else None for v in views]
+        shuffle_clients(round_stream, ids, 1, views)
+        for cid, n, start, view in zip(ids, sizes, starts, views):
+            assert np.array_equal(view - (start or 0), own_permutation(round_stream, cid, 1, n))
 
     def test_streams_of_different_master_seeds(self):
-        streams = [RngStream(seed).child("epoch", 0) for seed in (1, 2, 2**33, 1)]
-        bulk = permutations(streams, [9] * 4)
-        for s, perm in zip(streams, bulk):
-            assert np.array_equal(perm, s.generator().permutation(9))
+        drawn = []
+        for seed in (1, 2, 2**33, 1):
+            (perm,) = shuffled(RngStream(seed), [3], 0, [9])
+            assert np.array_equal(perm, own_permutation(RngStream(seed), 3, 0, 9))
+            drawn.append(perm.tolist())
+        assert drawn[0] == drawn[3] and drawn[0] != drawn[1]
+
+    def test_a_clients_shuffle_ignores_the_rest_of_the_sample(self):
+        stream = RngStream(5).child("round", 2)
+        samples = [[2, 5, 9], [5, 7], [1, 5, 2**40]]
+        drawn = [shuffled(stream, ids, 0, [30] * len(ids))[ids.index(5)] for ids in samples]
+        assert all(np.array_equal(perm, drawn[0]) for perm in drawn)
+
+    @pytest.mark.parametrize("cid", [0, 2**40 + 9])
+    def test_local_train_equals_one_client_train_clients(self, cid):
+        batch = random_batch(MLP, n=37, seed=1)
+        w0 = models.init_params(MLP, RngStream(3).child("init"))
+        rng = RngStream(2**33 + 1).child("round", 4)
+        got = models.local_train(MLP, w0, batch, 2, 0.1, 8, rng, cid)
+        want = one_row_train_clients(MLP, w0, batch, 2, 0.1, 8, rng, cid)
+        assert np.array_equal(got, want)
