@@ -170,11 +170,13 @@ def _dirichlet_split(labels: np.ndarray, K: int, alpha: float, g: np.random.Gene
         f"federation.K={K} clients without data in 1000 draws; raise alpha or lower K")
 
 
-def inject_bias(shard: ClientShard, tag: BiasTag, rng: RngStream) -> ClientShard:
-    """Apply a bias mode to a clean shard.
+def inject_bias(shard: ClientShard, tag: BiasTag, rng: RngStream,
+                n_classes: int) -> ClientShard:
+    """Apply a bias mode to a clean shard of data with n_classes classes.
 
     label_flip rewrites labels of the target group in the pool, before
-    training; update_scale only tags the shard, the distortion is applied to
+    training, to any other of the n_classes classes, whichever the shard
+    holds; update_scale only tags the shard, the distortion is applied to
     the transmitted update by the server loop.
     """
     if tag.mode == "clean":
@@ -186,7 +188,6 @@ def inject_bias(shard: ClientShard, tag: BiasTag, rng: RngStream) -> ClientShard
     hit = (b.groups == tag.target_group) & (
         rng.generator().random(len(b)) < tag.flip_prob
     )
-    n_classes = int(max(2, y.max() + 1))
     if n_classes == 2:
         y[hit] = 1 - y[hit]
     else:

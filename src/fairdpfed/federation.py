@@ -15,15 +15,17 @@ stacked matmul, in the groups of models.schedule, and their rows are updated
 in place. The round's models.Plan binds those groups to the matrix (views,
 minibatch buffers, work arrays) and is kept in the server state while the
 sampled spans repeat; it lives and dies with the run, as the matrix does.
-Each epoch the sampled clients' shuffles are drawn in one call from the
-round stream and their ids. The result is bit-identical to training each
-client on its own. Each row is finished right after its client's last step,
-while it is still in cache: it becomes the client's transmitted difference
-(minus the global model, times any update bias), and its norm, the update's
-one finiteness check, is taken. The server then adds each row to a running
-total, clipping only the rows dual_clip would scale into one reused vector
-first: one read of the matrix. Evaluation reads the test set's group index,
-worked out once.
+train_clients is the program's one SGD loop: harness.centralized_baseline
+trains through it too, as one client on the whole training set, with a
+one-row plan bound once per call. Each epoch the sampled clients' shuffles
+are drawn in one call from the round stream and their ids. The result is
+bit-identical to training each client on its own. Each row is finished
+right after its client's last step, while it is still in cache: it becomes
+the client's transmitted difference (minus the global model, times any
+update bias), and its norm, the update's one finiteness check, is taken.
+The server then adds each row to a running total, clipping only the rows
+dual_clip would scale into one reused vector first: one read of the
+matrix. Evaluation reads the test set's group index, worked out once.
 """
 
 from __future__ import annotations

@@ -237,27 +237,29 @@ def build_scenario(cfg: ExperimentConfig):
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     for cid in sorted(set(cfg.bias.biased_client_ids)):
-        shards[cid] = inject_bias(shards[cid], cfg.bias, root.child("bias", cid))
+        shards[cid] = inject_bias(shards[cid], cfg.bias, root.child("bias", cid),
+                                  cfg.data.n_classes)
     return train, test, shards
 
 
 def centralized_baseline(cfg: ExperimentConfig, train: LabeledBatch, test: LabeledBatch):
     """Train the same model on build_scenario's pooled clean training data.
 
-    Each round is one :func:`models.local_train` call from the last round's
-    model, with the federated round/epoch schedule and substreams, so a
-    single-client federation with no clipping or noise reproduces it bit for
-    bit.
+    The baseline is client 0 of a one-client federation on all of train,
+    trained by :func:`models.train_clients` in the one row of a matrix whose
+    :class:`models.Plan` is bound once per call. Each round trains from the
+    last round's model with the federated round/epoch schedule and
+    substreams, so a single-client federation with no clipping or noise
+    reproduces it bit for bit.
     """
     spec = cfg.model_spec
     root = RngStream(cfg.fed.seed)
-    w = models.init_params(spec, root.child("init"))
+    W = models.init_params(spec, root.child("init"))[None, :]
+    plan = models.Plan(spec, [(0, len(train))], cfg.fed.batch_size, W)
     for t in range(cfg.fed.T):
-        w = models.local_train(
-            spec, w, train, cfg.fed.epochs, cfg.fed.lr, cfg.fed.batch_size,
-            root.child("round", t), 0,
-        )
-    return w, models.evaluate(spec, w, test)
+        models.train_clients(spec, W[0].copy(), train, plan, cfg.fed.epochs, cfg.fed.lr,
+                             root.child("round", t), [0])
+    return W[0], models.evaluate(spec, W[0], test)
 
 
 _PHASES = ("scenario_s", "federation_s", "baseline_s", "write_s")

@@ -1,11 +1,13 @@
-"""Small differentiable models with closed-form gradients, and their trainer.
+"""Small differentiable models with closed-form gradients, and their one trainer.
 
 Two model kinds are supported: logistic regression (binary sigmoid head, or
 softmax for >2 classes) and a one-hidden-layer tanh MLP. Parameters live in a
 single flat float64 vector, whose blocks (weights, biases) unflatten gives as
 views. A stack of models is a (g, P) matrix, one model per row.
 
-:func:`train_clients` runs minibatch SGD for many clients together, client i
+:func:`train_clients` is the one SGD loop: the federation's sampled clients
+and the centralized baseline (one client on the whole training set) both
+train through it. It runs minibatch SGD for many clients together, client i
 in row i of a matrix that it updates in place, on row spans of one pool.
 Each epoch it runs :func:`schedule`'s groups: the full minibatches step by
 step, then the short last ones grouped by row count. A :class:`Plan` binds
@@ -21,11 +23,9 @@ bit-identical to training its client alone. A row is set to the start
 model at its client's first step and handed to a caller's hook right after
 its last step, so a wide model's row is finished while it is still in
 cache. Overflow is ignored: runaway weights saturate the probabilities, and
-the hook's norm check reports the update.
-:func:`local_train` trains one model with its own loop: it shuffles and
-gathers each epoch's shard once and steps over slices of it. It,
-:func:`gradient` and :func:`train_clients` share one gradient formula,
-:func:`_gradients`, which writes every intermediate into work arrays.
+the hook's norm check reports the update. :func:`gradient` and
+:func:`train_clients` share one gradient formula, :func:`_gradients`,
+which writes every intermediate into work arrays.
 """
 
 from __future__ import annotations
@@ -418,44 +418,6 @@ def train_clients(
             if finish is not None and e == epochs - 1:
                 for i in done:
                     finish(i)
-
-
-@np.errstate(over="ignore")
-def local_train(
-    spec: ModelSpec,
-    w0: ParamVector,
-    batch: LabeledBatch,
-    epochs: int,
-    lr: float,
-    batch_size: int,
-    rng: RngStream,
-    cid: int,
-) -> ParamVector:
-    """Mini-batch SGD for one client, bit-identical to :func:`train_clients`
-    training client cid alone with the round stream rng.
-
-    Each epoch shuffles the shard's local indices as train_clients shuffles
-    client cid's, gathers the shard in that order once and steps over it
-    batch_size rows at a time; the last minibatch is shorter when batch_size
-    does not divide the shard.
-    """
-    w = np.array(w0, dtype=np.float64)  # a copy, returned as is at 0 epochs
-    G = np.empty_like(w)
-    parts, grads = _unflatten(spec, w), _unflatten(spec, G)
-    n = len(batch)
-    # work arrays for each minibatch size: a full one, and a shorter last one
-    work = {m: _work(spec, (m,)) for m in {min(batch_size, n), n % batch_size} - {0}}
-    for e in range(epochs):
-        perm = np.arange(n)
-        shuffle_clients(rng, [cid], e, [perm])
-        X, y = batch.features.take(perm, axis=0), batch.labels.take(perm)
-        for start in range(0, n, batch_size):
-            end = start + batch_size
-            yb = y[start:end]
-            _gradients(spec, parts, X[start:end], yb, grads, work[len(yb)])
-            G *= lr
-            w -= G
-    return w
 
 
 @np.errstate(over="ignore")

@@ -1,4 +1,5 @@
-"""Shared scenario builders and the independent plain-averaging reference."""
+"""Shared scenario builders, the plain per-client SGD loop, and the
+independent plain-averaging reference built on it."""
 
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 from fairdpfed import models
 from fairdpfed.federation import sample_clients
 from fairdpfed.harness import config_from_dict
+from fairdpfed.models import LabeledBatch
 from fairdpfed.numeric import RngStream
 
 
@@ -47,6 +49,30 @@ def scenario_config(
     return config_from_dict(raw)
 
 
+def per_client_sgd(spec, w0, batch, epochs, lr, batch_size, rng):
+    """The per-client loop written out plainly: one gradient call per
+    minibatch, taken as perm[start:start + batch_size] of the epoch's shuffle.
+    rng is the client's stream, e.g. a round stream's child("client", cid)."""
+    w = w0.copy()
+    n = len(batch)
+    for e in range(epochs):
+        perm = rng.child("epoch", e).generator().permutation(n)
+        for start in range(0, n, batch_size):
+            idx = perm[start:start + batch_size]
+            mb = LabeledBatch(batch.features[idx], batch.labels[idx], batch.groups[idx])
+            w -= lr * models.gradient(spec, w, mb)
+    return w
+
+
+def one_row_train_clients(spec, w0, batch, epochs, lr, batch_size, rng, cid):
+    """models.train_clients training one client, cid, on all of batch from
+    w0, in the one row of a matrix: the centralized baseline's call form."""
+    W = np.full((1, spec.param_dim), np.nan)
+    plan = models.Plan(spec, [(0, len(batch))], batch_size, W)
+    models.train_clients(spec, w0, batch, plan, epochs, lr, rng, [cid])
+    return W[0]
+
+
 def fedavg_reference(config, spec, shards):
     """Plain FedAvg written independently of the aggregation under test:
     no clipping, no noise, straight mean of transmitted differences."""
@@ -57,9 +83,9 @@ def fedavg_reference(config, spec, shards):
         sampled = sample_clients(config.K, config.q, root.child("sample", t))
         deltas = []
         for cid in sampled:
-            w_local = models.local_train(
+            w_local = per_client_sgd(
                 spec, w, shards[cid].batch, config.epochs, config.lr,
-                config.batch_size, root.child("round", t), cid,
+                config.batch_size, root.child("round", t).child("client", cid),
             )
             deltas.append(w_local - w)
         w = w + np.mean(deltas, axis=0)

@@ -62,11 +62,35 @@ def test_preset_rounds_bytes_pinned(tmp_path, preset, runs):
         assert _sha256(tmp_path / str(k) / "config.echo") == ECHO_SHA256[preset]
 
 
+def _baseline_sha256(cfg) -> str:
+    w, _ = centralized_baseline(cfg, *build_scenario(cfg)[:2])
+    return hashlib.sha256(w.tobytes()).hexdigest()
+
+
 @pytest.mark.parametrize("preset", sorted(BASELINE_SHA256))
 def test_preset_baseline_weights_pinned(preset):
-    cfg = preset_config(preset)
-    w, _ = centralized_baseline(cfg, *build_scenario(cfg)[:2])
-    assert hashlib.sha256(w.tobytes()).hexdigest() == BASELINE_SHA256[preset]
+    assert _baseline_sha256(preset_config(preset)) == BASELINE_SHA256[preset]
+
+
+def _head_config(model: dict, n_classes: int, n_examples: int) -> dict:
+    """Two epochs a round for three rounds, in minibatches of 48 rows that do
+    not divide the training set, so every epoch ends on a short minibatch."""
+    return {
+        "data": {"n_examples": n_examples, "n_features": 6, "n_classes": n_classes},
+        "model": model,
+        "federation": {"K": 4, "T": 3, "epochs": 2, "lr": 0.1, "batch_size": 48, "seed": 3},
+    }
+
+
+# the heads the presets do not train: 400 and 320 training rows
+@pytest.mark.parametrize("raw, sha256", [
+    (_head_config({"kind": "mlp_1hidden", "hidden_units": 8}, 2, 500),
+     "76a11b6397d4507f0e217ce960c4eaaa653b017fd7fea139abe560d4ce2b87f7"),
+    (_head_config({"kind": "logistic_regression"}, 3, 400),
+     "8208f37b8bb17b99763a755d0b3050f3c4d41956bdb95de33c02ba611e213d53"),
+], ids=["mlp", "softmax"])
+def test_config_baseline_weights_pinned(raw, sha256):
+    assert _baseline_sha256(config_from_dict(raw)) == sha256
 
 
 def _label_flip_config() -> dict:

@@ -3,6 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from helpers_fed import one_row_train_clients
+
 from fairdpfed import models
 from fairdpfed.datagen import (
     BiasTag,
@@ -46,7 +48,7 @@ class TestGenerate:
         train, test = generate(spec, RngStream(4).child("data"))
         mspec = ModelSpec(kind="logistic_regression", n_features=10)
         w = models.init_params(mspec, RngStream(4).child("init"))
-        w = models.local_train(mspec, w, train, 20, 0.5, 64, RngStream(4).child("t"), 0)
+        w = one_row_train_clients(mspec, w, train, 20, 0.5, 64, RngStream(4).child("t"), 0)
         assert models.evaluate(mspec, w, test).accuracy > 0.95
 
     def test_labels_near_balanced(self):
@@ -134,7 +136,7 @@ class TestInjectBias:
     def test_zero_probability_is_identity(self):
         _, shards = make_shards(K=4, n=200)
         tag = BiasTag(mode="label_flip", flip_prob=0.0, target_group=0)
-        out = inject_bias(shards[0], tag, RngStream(0).child("bias"))
+        out = inject_bias(shards[0], tag, RngStream(0).child("bias"), 2)
         assert np.array_equal(out.batch.labels, shards[0].batch.labels)
         assert out.bias_tag.mode == "label_flip"
 
@@ -144,15 +146,30 @@ class TestInjectBias:
         s.batch.groups[:] = 0  # the shard's rows of the pool
         labels = s.batch.labels.copy()
         tag = BiasTag(mode="label_flip", flip_prob=1.0, target_group=0)
-        out = inject_bias(s, tag, RngStream(0).child("bias"))
+        out = inject_bias(s, tag, RngStream(0).child("bias"), 2)
         assert np.array_equal(out.batch.labels, 1 - labels)
+
+    def test_multiclass_flip_reaches_classes_the_shard_lacks(self):
+        """A 3-class shard that holds only labels 0 and 1, as a label-skewed
+        split can leave it, still flips to class 2, not by 1 - y."""
+        train, _ = generate(DataSpec(n_examples=200, n_features=5, n_classes=3),
+                            RngStream(0).child("data"))
+        s = partition(train, 4, PartitionScheme(kind="iid"), RngStream(0).child("part"))[1]
+        s.batch.groups[:] = 0
+        s.batch.labels[:] = np.arange(len(s.batch)) % 2
+        labels = s.batch.labels.copy()
+        tag = BiasTag(mode="label_flip", flip_prob=1.0, target_group=0)
+        out = inject_bias(s, tag, RngStream(0).child("bias"), 3)
+        flipped = out.batch.labels
+        assert np.all(flipped != labels) and set(flipped.tolist()) <= {0, 1, 2}
+        assert np.any(flipped == 2)
 
     def test_label_flip_writes_into_the_pool(self):
         train, shards = make_shards(K=4, n=200)
         pool, s = shards[0].pool, shards[1]
         before, train_labels = pool.labels.copy(), train.labels.copy()
         tag = BiasTag(mode="label_flip", flip_prob=1.0, target_group=0)
-        out = inject_bias(s, tag, RngStream(0).child("bias"))
+        out = inject_bias(s, tag, RngStream(0).child("bias"), 2)
         hit = np.zeros(len(pool), dtype=bool)
         hit[s.start:s.stop] = pool.groups[s.start:s.stop] == 0
         assert hit.any()
@@ -164,14 +181,14 @@ class TestInjectBias:
     def test_features_and_size_unchanged(self):
         _, shards = make_shards(K=4, n=200)
         tag = BiasTag(mode="label_flip", flip_prob=0.7, target_group=1)
-        out = inject_bias(shards[2], tag, RngStream(1).child("bias"))
+        out = inject_bias(shards[2], tag, RngStream(1).child("bias"), 2)
         assert np.array_equal(out.batch.features, shards[2].batch.features)
         assert len(out.batch) == len(shards[2].batch)
 
     def test_update_scale_only_tags(self):
         _, shards = make_shards(K=4, n=200)
         tag = BiasTag(mode="update_scale", factor=25.0)
-        out = inject_bias(shards[3], tag, RngStream(2).child("bias"))
+        out = inject_bias(shards[3], tag, RngStream(2).child("bias"), 2)
         assert np.array_equal(out.batch.labels, shards[3].batch.labels)
         assert out.bias_tag.factor == 25.0
 
@@ -194,4 +211,4 @@ class TestInjectBias:
         _, shards = make_shards(K=4, n=200)
         with pytest.raises(ValueError):
             tag = BiasTag(mode="label_flip", flip_prob=1.5, target_group=0)
-            inject_bias(shards[0], tag, RngStream(0).child("bias"))
+            inject_bias(shards[0], tag, RngStream(0).child("bias"), 2)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers_fed import BAD_VALUES, scenario_config
+from helpers_fed import BAD_VALUES, per_client_sgd, scenario_config
 
 from fairdpfed import models
 from fairdpfed.federation import run_training
@@ -27,6 +27,7 @@ from fairdpfed.harness import (
     run_experiment,
     run_sweep,
 )
+from fairdpfed.numeric import RngStream
 
 
 MINIMAL = {"federation": {"K": 4}}
@@ -137,6 +138,23 @@ class TestCentralizedBaseline:
         w_cen, cen_eval = centralized_baseline(cfg, *build_scenario(cfg)[:2])
         assert np.all(np.abs(w_fed - w_cen) <= 1e-9)
         assert cen_eval.accuracy == models.evaluate(cfg.model_spec, w_fed, test).accuracy
+
+    @pytest.mark.parametrize("model", [{}, {"model_kind": "mlp_1hidden", "hidden_units": 5}],
+                             ids=["lr", "mlp"])
+    def test_equals_chained_per_client_loop(self, model):
+        """T rounds of the plain per-client loop as client 0 of each round's
+        stream, from the init model, on 240 rows in minibatches of 32."""
+        cfg = dataclasses.replace(scenario_config(K=3, T=4, n_examples=300, epochs=2),
+                                  **model)
+        train, test, _ = build_scenario(cfg)
+        assert len(train) % cfg.fed.batch_size != 0
+        spec, root = cfg.model_spec, RngStream(cfg.fed.seed)
+        w = models.init_params(spec, root.child("init"))
+        for t in range(cfg.fed.T):
+            w = per_client_sgd(spec, w, train, cfg.fed.epochs, cfg.fed.lr, cfg.fed.batch_size,
+                               root.child("round", t).child("client", 0))
+        w_cen, _ = centralized_baseline(cfg, train, test)
+        assert np.array_equal(w_cen, w)
 
     def test_separable_data_high_accuracy(self):
         cfg = scenario_config(K=4, T=30, n_examples=1000, class_separation=10.0)

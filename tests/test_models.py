@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from helpers_fed import one_row_train_clients, per_client_sgd
+
 from fairdpfed import models
 from fairdpfed.datagen import DataSpec, PartitionScheme, generate, partition
 from fairdpfed.models import EvalMetrics, LabeledBatch, ModelSpec
@@ -116,30 +118,29 @@ class TestGradient:
             assert rel < 1e-5
 
 
-class TestLocalTrain:
-    def test_zero_epochs_is_identity(self):
-        batch = random_batch(LOGREG)
-        w0 = models.init_params(LOGREG, RngStream(0).child("w"))
-        w = models.local_train(LOGREG, w0, batch, 0, 0.1, 4, RngStream(0).child("t"), 0)
-        assert np.array_equal(w, w0)
+class TestOneRowTrain:
+    """train_clients training one client in a one-row matrix, as the
+    centralized baseline does."""
 
     def test_single_full_batch_step(self):
         batch = random_batch(LOGREG)
         w0 = models.init_params(LOGREG, RngStream(0).child("w"))
-        w = models.local_train(LOGREG, w0, batch, 1, 0.1, len(batch), RngStream(0).child("t"), 0)
+        w = one_row_train_clients(LOGREG, w0, batch, 1, 0.1, len(batch),
+                                  RngStream(0).child("t"), 0)
         expected = w0 - 0.1 * models.gradient(LOGREG, w0, batch)
         assert np.allclose(w, expected, atol=0)
 
     def test_deterministic(self):
         batch = random_batch(MLP, n=30)
         w0 = models.init_params(MLP, RngStream(1).child("w"))
-        run = lambda: models.local_train(MLP, w0, batch, 3, 0.05, 8, RngStream(1).child("t"), 0)
+        run = lambda: one_row_train_clients(MLP, w0, batch, 3, 0.05, 8, RngStream(1).child("t"), 0)
         assert np.array_equal(run(), run())
 
     def test_tiny_lr_stays_near_w0(self):
         batch = random_batch(LOGREG)
         w0 = models.init_params(LOGREG, RngStream(0).child("w"))
-        w = models.local_train(LOGREG, w0, batch, 1, 1e-14, len(batch), RngStream(0).child("t"), 0)
+        w = one_row_train_clients(LOGREG, w0, batch, 1, 1e-14, len(batch),
+                                  RngStream(0).child("t"), 0)
         assert np.all(np.abs(w - w0) < 1e-12)
 
     def test_full_batch_descent_nonincreasing(self):
@@ -147,18 +148,11 @@ class TestLocalTrain:
         w = models.init_params(LOGREG, RngStream(2).child("w"))
         prev = models.loss(LOGREG, w, batch)
         for _ in range(50):
-            w = models.local_train(LOGREG, w, batch, 1, 1e-2, len(batch), RngStream(2).child("t"), 0)
+            w = one_row_train_clients(LOGREG, w, batch, 1, 1e-2, len(batch),
+                                      RngStream(2).child("t"), 0)
             cur = models.loss(LOGREG, w, batch)
             assert cur <= prev + 1e-12
             prev = cur
-
-
-def one_row_train_clients(spec, w0, batch, epochs, lr, batch_size, rng, cid):
-    """The reference for local_train: train_clients with one row from w0."""
-    W = np.full((1, spec.param_dim), np.nan)
-    plan = models.Plan(spec, [(0, len(batch))], batch_size, W)
-    models.train_clients(spec, w0, batch, plan, epochs, lr, rng, [cid])
-    return W[0]
 
 
 class TestOneModelPath:
@@ -166,12 +160,12 @@ class TestOneModelPath:
     @pytest.mark.parametrize("epochs", [1, 2, 3])
     @pytest.mark.parametrize("n, batch_size", [(37, 8), (16, 16), (10, 32)],
                              ids=["ragged", "one_full_batch", "batch_exceeds_shard"])
-    def test_local_train_matches_one_row_train_clients(self, spec, epochs, n, batch_size):
+    def test_one_row_train_clients_matches_per_client_sgd(self, spec, epochs, n, batch_size):
         batch = random_batch(spec, n=n, seed=n)
         w0 = models.init_params(spec, RngStream(9).child("init"))
         rng = RngStream(9).child("round", 0)
-        got = models.local_train(spec, w0, batch, epochs, 0.1, batch_size, rng, 0)
-        want = one_row_train_clients(spec, w0, batch, epochs, 0.1, batch_size, rng, 0)
+        got = one_row_train_clients(spec, w0, batch, epochs, 0.1, batch_size, rng, 0)
+        want = per_client_sgd(spec, w0, batch, epochs, 0.1, batch_size, rng.child("client", 0))
         assert np.array_equal(got, want)
         assert np.array_equal(w0, models.init_params(spec, RngStream(9).child("init")))
 
@@ -187,20 +181,6 @@ class TestOneModelPath:
                           models._work(spec, y.shape))
         for k in range(3):
             assert np.array_equal(models.gradient(spec, W[k], batches[k]), G[k])
-
-
-def per_client_sgd(spec, w0, batch, epochs, lr, batch_size, rng):
-    """The per-client loop written out plainly: one gradient call per
-    minibatch, taken as perm[start:start + batch_size] of the epoch's shuffle."""
-    w = w0.copy()
-    n = len(batch)
-    for e in range(epochs):
-        perm = rng.child("epoch", e).generator().permutation(n)
-        for start in range(0, n, batch_size):
-            idx = perm[start:start + batch_size]
-            mb = LabeledBatch(batch.features[idx], batch.labels[idx], batch.groups[idx])
-            w -= lr * models.gradient(spec, w, mb)
-    return w
 
 
 def finish_order(sizes, batch_size):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from test_models import MLP, one_row_train_clients, random_batch
+from helpers_fed import one_row_train_clients, per_client_sgd
+from test_models import MLP, random_batch
 
 from fairdpfed import models
 from fairdpfed.numeric import RngStream, l2_norm, shuffle_clients
@@ -142,10 +143,10 @@ class TestPermutations:
         assert all(np.array_equal(perm, drawn[0]) for perm in drawn)
 
     @pytest.mark.parametrize("cid", [0, 2**40 + 9])
-    def test_local_train_equals_one_client_train_clients(self, cid):
+    def test_one_client_train_clients_equals_its_own_stream(self, cid):
         batch = random_batch(MLP, n=37, seed=1)
         w0 = models.init_params(MLP, RngStream(3).child("init"))
         rng = RngStream(2**33 + 1).child("round", 4)
-        got = models.local_train(MLP, w0, batch, 2, 0.1, 8, rng, cid)
-        want = one_row_train_clients(MLP, w0, batch, 2, 0.1, 8, rng, cid)
+        got = one_row_train_clients(MLP, w0, batch, 2, 0.1, 8, rng, cid)
+        want = per_client_sgd(MLP, w0, batch, 2, 0.1, 8, rng.child("client", cid))
         assert np.array_equal(got, want)
