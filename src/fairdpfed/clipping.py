@@ -4,6 +4,8 @@ The dual-threshold operator divides an update by max(1, ||d||/S, ||d||/M),
 where S bounds sensitivity for the privacy noise and M bounds suspiciously
 large (biased) updates. Algebraically this equals a single norm clip at
 min(S, M); the report records which threshold actually bound the update.
+The server applies it to a block of updates at a time: each row by its own
+factor, one report per row.
 """
 
 from __future__ import annotations
@@ -41,16 +43,30 @@ def dual_clip(delta: ParamVector, S: float, M: float, norm=None, out=None):
     when M < S (exact ties go to dp_bound). A given ``norm`` must be that of a
     finite float64 delta and skips the check. A clipped delta is written to
     ``out`` when given, else to a new array; an unclipped one is returned as is.
+
+    delta may also be a (k, P) block of rows, with norm then their norms (k,):
+    each row is divided by its own denominator, the same floats as the
+    vector's, and written to ``out`` or a new array (an unclipped row times
+    1.0, which is the row), and a list of k reports is returned.
     """
     if S <= 0 or M <= 0:
         raise ValueError("thresholds S and M must be positive")
     if norm is None:
         delta = np.asarray(delta, dtype=np.float64)
         norm = l2_norm(delta)
+    branch = "dp_bound" if S <= M else "bias_bound"
+    if delta.ndim == 2:
+        norm = np.asarray(norm, dtype=np.float64)
+        # division rounds monotonically, so norm / min(S, M) is the larger
+        # of norm / S and norm / M, bit for bit
+        denom = np.maximum(norm / min(S, M), 1.0)
+        factor = 1.0 / denom
+        reports = list(map(ClipReport, norm.tolist(), factor.tolist(),
+                           np.where(denom == 1.0, "none", branch).tolist()))
+        return np.multiply(delta, factor[:, None], out=out), reports
     denom = max(1.0, norm / S, norm / M)
     if denom == 1.0:
         return delta, ClipReport(pre_norm=norm, factor=1.0, clipped_by="none")
-    branch = "dp_bound" if S <= M else "bias_bound"
     factor = 1.0 / denom
     return (np.multiply(delta, factor, out=out),
             ClipReport(pre_norm=norm, factor=factor, clipped_by=branch))

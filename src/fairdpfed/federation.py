@@ -10,22 +10,27 @@ substream), so rounds are reproducible.
 The server holds m_t * P * 8 bytes of updates once per run: one (m_t, P)
 float64 matrix, reused every round. models.train_clients trains the sampled
 clients together, client i in row i, on their row spans of the scenario's
-shard pool: clients whose minibatches have the same row count run as one
-stacked matmul, in the groups of models.schedule, and their rows are updated
-in place. The round's models.Plan binds those groups to the matrix (views,
+shard pool, in the blocks of models.schedule: each full step is a block,
+and the short last minibatches run after them as ragged blocks of at most
+models.block_rows(P) clients; clients whose minibatches have the same row
+count run as one stacked matmul per product, and the rows are updated in
+place. The round's models.Plan binds those blocks to the matrix (views,
 minibatch buffers, work arrays) and is kept in the server state while the
 sampled spans repeat; it lives and dies with the run, as the matrix does.
 train_clients is the program's one SGD loop: harness.centralized_baseline
 trains through it too, as one client on the whole training set, with a
 one-row plan bound once per call. Each epoch the sampled clients' shuffles
 are drawn in one call from the round stream and their ids. The result is
-bit-identical to training each client on its own. Each row is finished
-right after its client's last step, while it is still in cache: it becomes
-the client's transmitted difference (minus the global model, times any
-update bias), and its norm, the update's one finiteness check, is taken.
-The server then adds each row to a running total, clipping only the rows
-dual_clip would scale into one reused vector first: one read of the
-matrix. Evaluation reads the test set's group index, worked out once.
+bit-identical to training each client on its own. A block's finished rows
+are finished at once, right after its step, while they are still in cache:
+they become the clients' transmitted differences (minus the global model,
+times any update bias), and l2_norm takes their norms, each update's one
+finiteness check, in one call. The server then clips the rows a block of
+the same row budget at a time, dual_clip clipping each block, and adds them
+to a running total in sampled order, by one reduction when one block holds
+the round: one read of the matrix.
+When every client is sampled nothing is drawn. Evaluation reads the test
+set's group index, worked out once.
 """
 
 from __future__ import annotations
@@ -36,8 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .clipping import ClipReport, dual_clip
-from .datagen import BiasTag
+from .clipping import dual_clip
 from .models import EvalMetrics, LabeledBatch, ModelSpec
 from .numeric import ParamVector, RngStream, check_types, l2_norm
 from .privacy import PrivacyLedger, add_noise, epsilon_per_round
@@ -149,8 +153,13 @@ class ServerState:
 
 
 def sample_clients(K: int, q: float, rng: RngStream) -> list:
-    """Uniform sample without replacement of size ceil(q*K), sorted ascending."""
-    ids = rng.generator().choice(K, size=math.ceil(q * K), replace=False)
+    """Uniform sample without replacement of size ceil(q*K), sorted ascending.
+    A sample of all K clients is every client: nothing is drawn, and rng's
+    stream feeds nothing else."""
+    m = math.ceil(q * K)
+    if m == K:
+        return list(range(K))
+    ids = rng.generator().choice(K, size=m, replace=False)
     return sorted(int(i) for i in ids)
 
 
@@ -160,36 +169,43 @@ def adaptive_S(update_norms) -> float:
     return max(float(np.median(update_norms)), S_FLOOR)
 
 
-def apply_update_bias(delta: ParamVector, tag: BiasTag) -> None:
-    """Realize update-level bias in place at transmission time (direction preserved)."""
-    if tag.mode == "update_scale":
-        delta *= tag.factor
+def update_factors(tags) -> np.ndarray:
+    """The factor each tag's transmitted difference is multiplied by: the
+    tag's factor under update-level bias, realized at transmission time
+    (direction preserved), else 1.0, which leaves it as it is."""
+    return np.array([tag.factor if tag.mode == "update_scale" else 1.0 for tag in tags])
 
 
-def aggregate_round(D: np.ndarray, config: FedConfig, norms: list):
+def aggregate_round(D: np.ndarray, config: FedConfig, norms):
     """Pick S, dual-clip each update, and average with 1/m_t.
 
     ``D`` is the round's (m_t, P) float64 update matrix; it is left
     unchanged. ``norms`` are its rows' norms, which l2_norm took (and so
-    checked the rows finite). A row that dual_clip's factor leaves alone is
-    added to a running total as it is; any other is clipped into one reused
-    vector first. Rows are added in order, which is how D.sum(axis=0) adds
-    the rows of a C-contiguous matrix, so the average is bit-identical to
-    summing the clipped matrix.
+    checked the rows finite). dual_clip clips the rows a block of
+    models.block_rows(P) at a time, each times its factor (1.0 leaves a row
+    as it is), and the clipped rows are added to a total from 0.0 in sampled
+    order. When one block holds every row, one reduction over the block's
+    first axis adds them: it starts from 0.0 and adds the rows of a
+    C-contiguous matrix in order. Otherwise each block is clipped into one
+    buffer and its rows are added to the running total in place. Either way
+    the average is bit-identical to summing the clipped matrix.
     Returns (averaged update, S_used, list of ClipReport).
     """
     S = adaptive_S(norms) if config.S_policy == "median_adaptive" else config.S_fixed
-    total = np.zeros(D.shape[1])
-    clipped = np.empty_like(total)
-    reports = []
-    for row, norm in zip(D, norms):
-        if max(1.0, norm / S, norm / config.M) == 1.0:  # dual_clip's test for no clip
-            reports.append(ClipReport(norm, 1.0, "none"))
-        else:
-            row, report = dual_clip(row, S, config.M, norm=norm, out=clipped)
-            reports.append(report)
-        total += row
-    return total / len(D), S, reports
+    m, P = D.shape
+    rows = models.block_rows(P)
+    norms = np.asarray(norms, dtype=np.float64)
+    if m <= rows:
+        clipped, reports = dual_clip(D, S, config.M, norm=norms)
+        return np.add.reduce(clipped, axis=0, initial=0.0) / m, S, reports
+    total, clipped, reports = np.zeros(P), np.empty((rows, P)), []
+    for a in range(0, m, rows):
+        block, block_reports = dual_clip(D[a : a + rows], S, config.M, norm=norms[a : a + rows],
+                                         out=clipped[: min(rows, m - a)])
+        reports += block_reports
+        for row in block:
+            total += row
+    return total / m, S, reports
 
 
 def run_round(
@@ -207,15 +223,18 @@ def run_round(
     if state.updates is None:
         state.updates = np.empty((len(sampled), spec.param_dim))
     D = state.updates
-    norms = [None] * len(sampled)  # None: the update is not finite
+    norms = np.full(len(sampled), np.nan)  # NaN: a block held a non-finite update
+    factors = update_factors([shards[cid].bias_tag for cid in sampled])
 
-    def finish(i):
-        """Turn row i into client i's transmitted difference and take its norm."""
-        row = D[i]
-        np.subtract(row, state.w_global, out=row)
-        apply_update_bias(row, shards[sampled[i]].bias_tag)
+    def finish(rows, B):
+        """Turn B, the final models of clients rows, into their transmitted
+        differences and take their norms."""
+        np.subtract(B, state.w_global, out=B)
+        scale = factors[rows]
+        if (scale != 1.0).any():
+            B *= scale[:, None]
         try:
-            norms[i] = l2_norm(row)
+            norms[rows] = l2_norm(B)
         except ValueError:
             pass
 
@@ -224,9 +243,11 @@ def run_round(
         state.plan = models.Plan(spec, spans, config.batch_size, D)
     models.train_clients(spec, state.w_global, shards[0].pool, state.plan, config.epochs,
                          config.lr, round_stream, sampled, finish)
-    for cid, norm in zip(sampled, norms):
-        if norm is None:
-            raise SimulationError(f"non-finite update from client {cid} in round {t}")
+    if np.isnan(norms).any():  # name the first sampled client whose update is not finite
+        with np.errstate(over="ignore"):
+            finite = [math.isfinite(row.dot(row)) for row in D]
+        raise SimulationError(
+            f"non-finite update from client {sampled[finite.index(False)]} in round {t}")
 
     avg, S_used, reports = aggregate_round(D, config, norms)
     noise_std = config.sigma * S_used

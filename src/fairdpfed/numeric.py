@@ -22,19 +22,27 @@ import numpy as np
 ParamVector = np.ndarray
 
 
-def l2_norm(v: ParamVector) -> float:
-    """Euclidean norm of a non-empty 1-D float64 vector; raises unless finite.
+def l2_norm(v: ParamVector):
+    """Euclidean norm of a non-empty 1-D float64 vector, or the norms (k,) of
+    the rows of a non-empty (k, P) block; raises unless every one is finite.
 
     sqrt(v . v) is what np.linalg.norm computes for such a vector, and its one
     scan is the finiteness check: a non-finite entry, or a sum of squares
-    that overflows, makes it non-finite.
+    that overflows, makes it non-finite. A block's rows are dotted by one
+    stacked matmul of (k, 1, P) by (k, P, 1), whose every slice calls the dot
+    product v.dot(v) calls, so each row's norm is bit for bit its vector's.
     """
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError(f"l2_norm needs a non-empty 1-D vector, got shape {v.shape}")
-    norm = math.sqrt(v.dot(v))
-    if not math.isfinite(norm):
+    if v.ndim not in (1, 2) or v.size == 0:
+        raise ValueError(f"l2_norm needs a non-empty vector or block, got shape {v.shape}")
+    if v.ndim == 1:
+        norm = math.sqrt(v.dot(v))
+        if not math.isfinite(norm):
+            raise ValueError("vector norm is not finite")
+        return norm
+    norms = np.sqrt(np.matmul(v[:, None, :], v[:, :, None]).reshape(len(v)))
+    if not np.isfinite(norms).all():
         raise ValueError("vector norm is not finite")
-    return norm
+    return norms
 
 
 # what a dataclass field of each annotation holds, and what to call it

@@ -86,3 +86,22 @@ class TestDualClip:
         assert np.allclose(out, rep.factor * v, atol=1e-15)
         again, rep2 = dual_clip(out, S, M)
         assert np.all(np.abs(again - out) <= 1e-12)
+
+
+class TestDualClipBlock:
+    @pytest.mark.parametrize("S, M", [(1.0, 2.0), (2.0, 1.0), (1.0, 1.0), (1.0, np.inf)])
+    def test_each_row_as_the_vector_clip(self, S, M):
+        g = np.random.default_rng(3)
+        D = g.normal(size=(6, 40)) / np.sqrt(40)
+        D *= np.array([0.2, 0.9, 1.5, 3.0, 0.5, 8.0])[:, None]
+        D[4] = 0.0
+        D[4, 0] = 1.0  # norm exactly 1: on every threshold equal to 1
+        norms = np.array([np.sqrt(row.dot(row)) for row in D])
+        out = np.full_like(D, np.nan)
+        clipped, reports = dual_clip(D, S, M, norm=norms, out=out)
+        assert clipped is out
+        for row, got, norm, report in zip(D, clipped, norms, reports):
+            want, want_report = dual_clip(row, S, M, norm=float(norm))
+            assert got.tobytes() == want.tobytes() and report == want_report
+        assert {r.clipped_by for r in reports} >= {"none"}
+        assert dual_clip(D, S, M)[1] == reports  # norms taken when not given

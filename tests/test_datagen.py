@@ -193,10 +193,10 @@ class TestInjectBias:
         assert out.bias_tag.factor == 25.0
 
     def test_update_scale_scales_emitted_norm(self):
-        from fairdpfed.federation import apply_update_bias
+        from fairdpfed.federation import update_factors
         delta = np.array([0.1, -0.2, 0.05])
         before = np.linalg.norm(delta)
-        apply_update_bias(delta, BiasTag(mode="update_scale", factor=25.0))
+        delta *= update_factors([BiasTag(mode="update_scale", factor=25.0)])[0]
         assert np.linalg.norm(delta) == pytest.approx(25 * before)
 
     @pytest.mark.parametrize("kwargs", [

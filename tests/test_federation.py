@@ -18,19 +18,35 @@ from fairdpfed.federation import (
     SimulationError,
     adaptive_S,
     aggregate_round,
-    apply_update_bias,
     run_round,
     run_training,
     sample_clients,
+    update_factors,
 )
 from fairdpfed.harness import build_scenario
 from fairdpfed.numeric import RngStream, l2_norm
 from fairdpfed.privacy import PrivacyLedger
 
 
+def drawn_sample(K, q, rng):
+    """sample_clients' draw, made whatever the sample's size."""
+    ids = rng.generator().choice(K, size=math.ceil(q * K), replace=False)
+    return sorted(int(i) for i in ids)
+
+
 class TestSampleClients:
     def test_full_participation(self):
         assert sample_clients(10, 1.0, RngStream(0).child("s")) == list(range(10))
+
+    @pytest.mark.parametrize("K", [1, 2, 7, 100, 1000])
+    @pytest.mark.parametrize("seed", [0, 1, 31])
+    def test_everyone_sampled_equals_the_draw(self, K, seed):
+        rng = RngStream(seed).child("sample", 3)
+        assert sample_clients(K, 1.0, rng) == drawn_sample(K, 1.0, rng) == list(range(K))
+
+    def test_partial_sample_is_the_draw(self):
+        rng = RngStream(5).child("sample", 2)
+        assert sample_clients(40, 0.3, rng) == drawn_sample(40, 0.3, rng)
 
     def test_partial_size_and_range(self):
         ids = sample_clients(10, 0.3, RngStream(1).child("s"))
@@ -58,21 +74,21 @@ class TestAdaptiveS:
         assert adaptive_S([0.0, 0.0, 0.0]) == 1e-12
 
 
-class TestApplyUpdateBias:
+class TestUpdateFactors:
     def test_clean_identity(self):
         d = np.array([0.1, -0.2])
-        apply_update_bias(d, BiasTag())
+        d *= update_factors([BiasTag()])[0]
         assert np.array_equal(d, [0.1, -0.2])
 
     def test_scale(self):
-        d = np.array([0.1, 0.0])
-        apply_update_bias(d, BiasTag(mode="update_scale", factor=25.0))
-        assert np.array_equal(d, [2.5, 0.0])
+        d = np.array([[0.1, 0.0], [0.1, 0.0]])
+        d *= update_factors([BiasTag(mode="update_scale", factor=25.0), BiasTag()])[:, None]
+        assert np.array_equal(d, [[2.5, 0.0], [0.1, 0.0]])
 
     def test_norm_scales_exactly(self):
         d = np.random.default_rng(0).normal(size=9)
         before = np.linalg.norm(d)
-        apply_update_bias(d, BiasTag(mode="update_scale", factor=3.0))
+        d *= update_factors([BiasTag(mode="update_scale", factor=3.0)])[0]
         assert np.linalg.norm(d) == pytest.approx(3 * before)
 
 
@@ -122,29 +138,55 @@ def per_update_aggregate(deltas, config):
     return np.sum(list(clipped), axis=0) / len(deltas), S, list(reports)
 
 
+def set_row_budget(monkeypatch, rows, P):
+    """Make models.block_rows(P), aggregate_round's rows per block, rows
+    (None keeps the default)."""
+    if rows:
+        monkeypatch.setattr(models, "GROUP_BYTES", rows * 8 * P)
+        assert models.block_rows(P) == rows
+
+
+# blocks of 7 rows leave a partial last block in every matrix below
+BUDGETS = pytest.mark.parametrize("rows", [None, 7], ids=["one_block", "blocks_of_7"])
+
+
 class TestAggregateMatrix:
     @pytest.mark.parametrize("S_policy", ["median_adaptive", "fixed"])
-    def test_matches_per_update_path_bit_for_bit(self, S_policy):
+    @BUDGETS
+    def test_matches_per_update_path_bit_for_bit(self, monkeypatch, S_policy, rows):
         g = np.random.default_rng(11)
         scales = [0.05, 0.2, 0.5, 1.0, 2.0, 5.0, 20.0, 50.0, 100.0]
         deltas = [s * g.normal(size=37) / math.sqrt(37) for s in scales]
+        set_row_budget(monkeypatch, rows, 37)
+        calls = []  # one dual_clip per block: one in all when the budget holds every row
+
+        def counted(D, *args, **kwargs):
+            calls.append(len(D))
+            return dual_clip(D, *args, **kwargs)
+
+        monkeypatch.setattr(federation, "dual_clip", counted)
         branches = set()
         for M in (10.0, 0.3):  # M above S (S binds), then below it (M binds)
             cfg = FedConfig(K=len(deltas), S_policy=S_policy, S_fixed=3.0, M=M)
             ref_avg, ref_S, ref_reports = per_update_aggregate(deltas, cfg)
+            calls.clear()
             avg, S, reports = aggregate(deltas, cfg)
+            assert calls == ([7, 2] if rows else [9])
             assert np.array_equal(avg, ref_avg)
             assert S == ref_S
             assert reports == ref_reports
             branches |= {r.clipped_by for r in reports}
         assert branches == {"none", "dp_bound", "bias_bound"}
 
-    def test_large_matrix_matches_in_place_clip_and_sum_and_is_left_unchanged(self):
-        """Rows clipped into one vector and added to a running total give the
-        bytes of clipping the matrix in place and summing it, at a size where
-        numpy's reduction could block or buffer."""
+    @BUDGETS
+    def test_large_matrix_matches_in_place_clip_and_sum_and_is_left_unchanged(self, monkeypatch,
+                                                                              rows):
+        """Rows clipped and summed a block at a time onto a running total give
+        the bytes of clipping the matrix in place and summing it, at a size
+        where numpy's reduction could block or buffer."""
         g = np.random.default_rng(13)
         m, P = 600, 30_000
+        set_row_budget(monkeypatch, rows, P)
         D = g.standard_normal((m, P))
         D *= g.choice([1e-3, 1.0, 1e3], size=(m, 1))  # unclipped and clipped rows
         D[:, 0] = -0.0  # the sign of a zero sum shows where the total starts
@@ -176,7 +218,10 @@ def rowwise_dual_clip_aggregate(D, config, norms):
 
 class TestLeanAggregate:
     @pytest.mark.parametrize("P", [21, 353, 28_426])
-    def test_matches_rowwise_dual_clip_bit_for_bit_and_leaves_D_alone(self, P):
+    @BUDGETS
+    def test_matches_rowwise_dual_clip_bit_for_bit_and_leaves_D_alone(self, monkeypatch, P,
+                                                                      rows):
+        set_row_budget(monkeypatch, rows, P)
         g = np.random.default_rng(P)
         D = g.standard_normal((12, P)) / math.sqrt(P)  # norms near 1
         D *= np.array([0.1, 0.5, 0.9, 1.0, 1.5, 2.5, 4.0, 0.2, 3.0, 0.7, 8.0, 1.2])[:, None]
@@ -196,6 +241,21 @@ class TestLeanAggregate:
             assert D.tobytes() == before
             branches |= {r.clipped_by for r in reports}
         assert branches == {"none", "dp_bound", "bias_bound"}
+
+
+    @BUDGETS
+    def test_zero_column_sums_from_positive_zero(self, monkeypatch, rows):
+        """The total starts at 0.0, so a column of -0.0 sums to 0.0, in one
+        block or in several."""
+        set_row_budget(monkeypatch, rows, 10)
+        D = np.random.default_rng(2).standard_normal((9, 10))
+        D[:, 4] = -0.0
+        norms = [l2_norm(row) for row in D]
+        cfg = FedConfig(K=len(D), S_policy="median_adaptive", M=2.0)
+        avg, S, reports = aggregate_round(D, cfg, norms)
+        ref_avg, _, ref_reports = rowwise_dual_clip_aggregate(D, cfg, norms)
+        assert avg.tobytes() == ref_avg.tobytes() and reports == ref_reports
+        assert math.copysign(1.0, avg[4]) == 1.0
 
 
 class TestRunOwnsItsBuffers:

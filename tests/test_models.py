@@ -6,7 +6,7 @@ import pytest
 from helpers_fed import one_row_train_clients, per_client_sgd
 
 from fairdpfed import models
-from fairdpfed.datagen import DataSpec, PartitionScheme, generate, partition
+from fairdpfed.datagen import ClientShard, DataSpec, PartitionScheme, generate, partition
 from fairdpfed.models import EvalMetrics, LabeledBatch, ModelSpec
 from fairdpfed.numeric import RngStream
 
@@ -170,16 +170,32 @@ class TestOneModelPath:
         assert np.array_equal(w0, models.init_params(spec, RngStream(9).child("init")))
 
     @pytest.mark.parametrize("spec", [LOGREG, SOFTMAX, MLP], ids=["binary", "softmax", "mlp"])
-    def test_gradient_matches_stacked_rows(self, spec):
+    @pytest.mark.parametrize("counts", [(12, 12, 12), (5, 12, 12), (3, 7, 7, 7, 9)],
+                             ids=["stack", "ragged", "three_subgroups"])
+    def test_gradient_matches_block_rows(self, spec, counts):
+        """One block of models, one minibatch each, in subgroups of equal row
+        count (a subgroup of one model as 2-D arrays): each model's gradient
+        is bit for bit its own."""
+        m, R = len(counts), sum(counts)
         W = np.stack([models.init_params(spec, RngStream(k).child("w")) * 10
-                      for k in range(3)])
-        batches = [random_batch(spec, n=12, seed=k) for k in range(3)]
-        X = np.stack([b.features for b in batches])
-        y = np.stack([b.labels for b in batches])
+                      for k in range(m)])
+        batches = [random_batch(spec, n=n, seed=k) for k, n in enumerate(counts)]
+        X = np.concatenate([b.features for b in batches])
+        y = np.concatenate([b.labels for b in batches])
         G = np.empty_like(W)
-        models._gradients(spec, models._unflatten(spec, W), X, y, models._unflatten(spec, G),
-                          models._work(spec, y.shape))
-        for k in range(3):
+        work = models._work(spec, (R,))
+        groups, c, r = [], 0, 0
+        for n in sorted(set(counts)):
+            g = counts.count(n)
+            rows = slice(r, r + g * n)
+            groups.append((models._unflatten(spec, models._models(W, c, g)),
+                           models._stack(X[rows], g),
+                           tuple(models._stack(a[rows], g) for a in work),
+                           models._unflatten(spec, models._models(G, c, g))))
+            c, r = c + g, r + g * n
+        n = np.repeat(counts, counts).astype(float)[:, None]
+        models._gradients(spec, groups, y, counts[0] if len(set(counts)) == 1 else n, work)
+        for k in range(m):
             assert np.array_equal(models.gradient(spec, W[k], batches[k]), G[k])
 
 
@@ -193,16 +209,30 @@ def finish_order(sizes, batch_size):
     return sorted(range(len(sizes)), key=lambda i: (last_group(i), i))
 
 
+def block_members(rows, m):
+    return list(range(m))[rows] if isinstance(rows, slice) else rows
+
+
+def finished(blocks, m):
+    """The clients the blocks end, in the order they run."""
+    return [block_members(rows, m)[j] for rows, _, _, done, _ in blocks for j in done]
+
+
 def assert_each_row_once_in_client_order(plan, sizes, batch_size):
-    """Each epoch the plan's groups read every row once, and client i's
-    minibatches are rows [k, k + batch_size) of its shuffle, k ascending."""
-    _, _, groups, order = plan
+    """Each epoch the plan's blocks read every row once, and client i's
+    minibatches are rows [k, k + batch_size) of its shuffle, k ascending. A
+    block's subgroups hold its clients in order, ascending row counts."""
+    _, _, blocks, order = plan
     assert sorted(order.tolist()) == list(range(sum(sizes)))
     read = [[] for _ in sizes]
-    for rows, n, _, _, cells in groups:
-        members = range(len(sizes))[rows] if isinstance(rows, slice) else rows
-        for i, positions in zip(members, order[cells].reshape(-1, n)):
-            read[i].append(positions.tolist())
+    for rows, subgroups, _, _, cells in blocks:
+        members = block_members(rows, len(sizes))
+        counts = [n for g, n in subgroups for _ in range(g)]
+        assert len(counts) == len(members) and counts == sorted(counts)
+        bounds = np.cumsum([0] + counts)
+        assert bounds[-1] == cells.stop - cells.start
+        for i, a, b in zip(members, bounds[:-1], bounds[1:]):
+            read[i].append(order[cells][a:b].tolist())
     starts = np.cumsum(sizes) - sizes
     for i, got in enumerate(read):
         shuffle = list(range(starts[i], starts[i] + sizes[i]))
@@ -217,43 +247,77 @@ class TestSchedule:
         stops = start + np.cumsum(sizes)
         return [(int(b - n), int(b)) for n, b in zip(sizes, stops)]
 
-    def test_groups_full_steps_then_short_minibatches_by_row_count(self):
-        sizes, offsets, groups, order = models.schedule(LOGREG, self.spans(self.SIZES), 32)
+    def test_full_steps_then_one_ragged_tail_block(self):
+        sizes, offsets, blocks, order = models.schedule(LOGREG, self.spans(self.SIZES), 32)
         assert sizes.tolist() == self.SIZES
         assert offsets.tolist() == np.repeat(1000 + np.cumsum(self.SIZES) - self.SIZES,
                                              self.SIZES).tolist()
-        # (rows of W, n, positions of clients it starts, clients it ends, cells)
-        assert groups == [
-            (slice(1, 6), 32, [0, 1, 2, 3, 4], [1], slice(0, 160)),
-            (slice(3, 6), 32, [], [3], slice(160, 256)),
-            (slice(5, 6), 32, [], [], slice(256, 288)),
-            (slice(5, 6), 4, [], [5], slice(288, 292)),
-            (slice(0, 1), 5, [0], [0], slice(292, 297)),
-            (slice(4, 5), 6, [], [4], slice(297, 303)),
-            (slice(2, 3), 8, [], [2], slice(303, 311)),
+        # (rows of W, subgroups, positions of clients it starts, positions of
+        # clients it ends, cells)
+        assert blocks == [
+            (slice(1, 6), [(5, 32)], [0, 1, 2, 3, 4], [0], slice(0, 160)),
+            (slice(3, 6), [(3, 32)], [], [0], slice(160, 256)),
+            (slice(5, 6), [(1, 32)], [], [], slice(256, 288)),
+            ([5, 0, 4, 2], [(1, 4), (1, 5), (1, 6), (1, 8)], [1], [0, 1, 2, 3],
+             slice(288, 311)),
         ]
-        assert [i for g in groups for i in g[3]] == finish_order(self.SIZES, 32)
+        assert finished(blocks, len(sizes)) == finish_order(self.SIZES, 32)
 
     @pytest.mark.parametrize("sizes, batch_size", [
         (SIZES, 32), ([100, 5, 64, 32, 70, 40], 32), ([64, 1, 63, 17, 16], 16), ([9], 32),
-        ([2, 4, 6], 2)])
-    def test_every_row_once_per_epoch_in_each_clients_own_order(self, sizes, batch_size):
+        ([2, 4, 6], 2), ([3, 1, 3, 2, 1, 3, 35, 3], 4)])
+    @pytest.mark.parametrize("budget", [None, 2, 3])
+    def test_every_row_once_per_epoch_in_each_clients_own_order(self, monkeypatch, sizes,
+                                                               batch_size, budget):
+        if budget:
+            monkeypatch.setattr(models, "GROUP_BYTES", budget * 8 * LOGREG.param_dim)
         plan = models.schedule(LOGREG, self.spans(sizes), batch_size)
         assert_each_row_once_in_client_order(plan, sizes, batch_size)
+        assert finished(plan[2], len(sizes)) == finish_order(sizes, batch_size)
 
-    def test_max_rows_splits_groups(self, monkeypatch):
+    def test_row_budget_splits_blocks(self, monkeypatch):
         monkeypatch.setattr(models, "GROUP_BYTES", 2 * 8 * LOGREG.param_dim)
         sizes = [100, 5, 64, 32, 70, 40]
         plan = models.schedule(LOGREG, self.spans(sizes), 32)
-        groups = plan[2]
-        assert [(rows, n, fresh) for rows, n, fresh, _, _ in groups] == [
-            ([0, 2], 32, [0, 1]), (slice(3, 5), 32, [0, 1]), (slice(5, 6), 32, [0]),
-            ([0, 2], 32, []), (slice(4, 5), 32, []), (slice(0, 1), 32, []),
-            (slice(0, 1), 4, []), (slice(1, 2), 5, [0]), (slice(4, 5), 6, []),
-            (slice(5, 6), 8, []),
+        blocks = plan[2]
+        assert [(rows, subgroups, fresh) for rows, subgroups, fresh, _, _ in blocks] == [
+            ([0, 2], [(2, 32)], [0, 1]), (slice(3, 5), [(2, 32)], [0, 1]),
+            (slice(5, 6), [(1, 32)], [0]), ([0, 2], [(2, 32)], []), (slice(4, 5), [(1, 32)], []),
+            (slice(0, 1), [(1, 32)], []),
+            (slice(0, 2), [(1, 4), (1, 5)], [1]), (slice(4, 6), [(1, 6), (1, 8)], []),
         ]
-        assert [i for g in groups for i in g[3]] == finish_order(sizes, 32)
+        assert finished(blocks, len(sizes)) == finish_order(sizes, 32)
         assert_each_row_once_in_client_order(plan, sizes, 32)
+
+    @staticmethod
+    def skewed_spans():
+        """A Dirichlet(0.5) split of 16,000 rows over 100 clients, as a
+        cross-device round trains them."""
+        data = DataSpec(n_examples=20_000, n_features=4)
+        train, _ = generate(data, RngStream(1).child("data"))
+        shards = partition(train, 100, PartitionScheme(kind="dirichlet_label_skew", alpha=0.5),
+                           RngStream(1).child("p"))
+        return [(s.start, s.stop) for s in shards]
+
+    @pytest.mark.parametrize("budget", [None, 7])
+    def test_block_count_is_full_steps_plus_tail_blocks(self, monkeypatch, budget):
+        """Blocks per epoch: each full step's clients cut by the row budget,
+        then the short last minibatches cut by it too; with the default
+        budget every full step and the whole tail are one block each."""
+        if budget:
+            monkeypatch.setattr(models, "GROUP_BYTES", budget * 8 * LOGREG.param_dim)
+        spans = self.skewed_spans()
+        sizes = np.array([b - a for a, b in spans])
+        bs = 32
+        full, rest = sizes // bs, sizes % bs
+        tail = int(np.count_nonzero(rest))
+        assert len(set(rest[rest > 0].tolist())) >= 10 and tail > 1
+        plan = models.Plan(LOGREG, spans, bs, np.empty((len(spans), LOGREG.param_dim)))
+        rows = models.block_rows(LOGREG.param_dim)
+        step_clients = [int(np.count_nonzero(full > s)) for s in range(full.max())]
+        assert len(plan.steps) == sum(-(-c // rows) for c in step_clients) + -(-tail // rows)
+        if budget is None:
+            assert rows >= len(spans) and len(plan.steps) == full.max() + 1
 
 
 class TestTrainClients:
@@ -295,6 +359,43 @@ class TestTrainClients:
             assert np.array_equal(row, per_client_sgd(spec, w0, shard.batch, epochs, 0.1, bs,
                                                       rng))
 
+    @staticmethod
+    def ragged_shards(spec, sizes):
+        """Shards of these sizes, one after another in one pool."""
+        pool = random_batch(spec, n=sum(sizes), seed=len(sizes), n_groups=2)
+        stops = np.cumsum(sizes)
+        return [ClientShard(pool, int(b - n), int(b)) for n, b in zip(sizes, stops)]
+
+    # with batches of 16: eleven distinct last-minibatch sizes, clients with
+    # no full minibatch (sizes below 16) and clients with only full ones
+    RAGGED = [1, 16, 3, 35, 20, 48, 5, 21, 7, 39, 9, 27, 43, 11, 32, 13, 61, 15, 3, 19, 6,
+              22, 8]
+
+    @pytest.mark.parametrize("spec", [LOGREG, SOFTMAX, MLP], ids=["binary", "softmax", "mlp"])
+    @pytest.mark.parametrize("epochs", [1, 2])
+    @pytest.mark.parametrize("budget", [None, 4])
+    def test_ragged_tail_matches_per_client_loop_bit_for_bit(self, monkeypatch, spec, epochs,
+                                                            budget):
+        bs = self.BATCH_SIZE
+        rest = [n % bs for n in self.RAGGED]
+        assert len(set(rest) - {0}) >= 10 and 0 in rest and min(self.RAGGED) < bs
+        if budget:  # tail blocks of 4 clients; the first spans row counts 1 and 3
+            monkeypatch.setattr(models, "GROUP_BYTES", budget * 8 * spec.param_dim)
+        shards = self.ragged_shards(spec, self.RAGGED)
+        blocks = models.schedule(spec, [(s.start, s.stop) for s in shards], bs)[2]
+        tail = [subgroups for _, subgroups, _, _, _ in blocks if subgroups[0][1] < bs]
+        if budget:
+            assert len(tail) == -(-sum(r > 0 for r in rest) // budget)
+            assert tail[0] == [(1, 1), (3, 3)]
+        else:
+            assert len(tail) == 1 and len(tail[0]) == len(set(rest) - {0})
+        w0 = models.init_params(spec, RngStream(4).child("init"))
+        W = np.full((len(shards), spec.param_dim), np.nan)  # rows start from w0
+        self.train(spec, W, w0, shards, epochs)
+        for i, (row, shard) in enumerate(zip(W, shards)):
+            assert np.array_equal(row, per_client_sgd(spec, w0, shard.batch, epochs, 0.1, bs,
+                                                      RngStream(4).child("client", i)))
+
     @pytest.mark.parametrize("small_groups", [False, True])
     def test_finish_runs_once_per_client_right_after_its_last_step(self, monkeypatch,
                                                                    small_groups):
@@ -309,17 +410,22 @@ class TestTrainClients:
         W = np.empty((len(shards), MLP.param_dim))
         calls = []
 
-        def finish(i):
-            # the row holds the client's final model: its last step has run
-            assert np.array_equal(W[i], final[i])
-            calls.append(i)
-            W[i] = np.nan  # later steps must not touch a finished row
+        def finish(rows, B):
+            # B holds the clients' final models: their last steps have run
+            assert B.shape == (len(rows), MLP.param_dim)
+            for i, row in zip(rows, B):
+                assert np.array_equal(row, final[i])
+            calls.append(rows.tolist())
+            B[:] = np.nan  # W keeps what the hook leaves; later steps must not touch it
 
         self.train(MLP, W, w0, shards, 2, finish)
         # clients whose last minibatch is full finish in step order, then the
-        # rest by their last minibatch's row count
-        assert calls == finish_order(sizes, bs)
-        assert calls != sorted(calls) and any(n % bs == 0 for n in sizes)
+        # rest by their last minibatch's row count, a block at a time
+        order = [i for rows in calls for i in rows]
+        assert order == finish_order(sizes, bs)
+        assert order != sorted(order) and any(n % bs == 0 for n in sizes)
+        tail = sum(n % bs > 0 for n in sizes)
+        assert len(calls[-1]) == (2 if small_groups else tail)
         assert np.isnan(W).all()
 
 

@@ -40,6 +40,24 @@ class TestL2Norm:
         v = np.random.default_rng(5).normal(size=30_000) * 1e-3
         assert l2_norm(v) == float(np.linalg.norm(v))
 
+    @pytest.mark.parametrize("P", [21, 353, 10_001, 28_426, 100_000])
+    def test_block_norms_bit_identical_to_each_rows(self, P):
+        """Each row's norm in a block is the norm of that row alone, bit for
+        bit, past the size where the dot product is summed by threads."""
+        g = np.random.default_rng(P)
+        B = g.normal(size=(5, P)) * np.array([1e-3, 1.0, 1e3, 0.0, 7.0])[:, None]
+        norms = l2_norm(B)
+        assert norms.shape == (5,)
+        assert norms.tolist() == [l2_norm(row) for row in B]
+
+    def test_block_with_a_nonfinite_row_rejected(self):
+        B = np.ones((3, 4))
+        B[1, 2] = np.inf
+        with pytest.raises(ValueError):
+            l2_norm(B)
+        with np.errstate(over="ignore"), pytest.raises(ValueError):
+            l2_norm(np.array([[1.0, 2.0], [1e200, 1e200]]))
+
     @given(st.floats(-1e6, 1e6), st.integers(1, 50), st.integers(0, 2**32 - 1))
     def test_absolute_homogeneity(self, a, dim, seed):
         v = np.random.default_rng(seed).normal(size=dim)
