@@ -11,8 +11,12 @@ Exit codes: 0 success, 2 config error, 3 simulation abort, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+
+import numpy as np
 
 from .federation import SimulationError
 from .harness import (
@@ -47,10 +51,42 @@ def _with_seed(cfg: ExperimentConfig, seed) -> ExperimentConfig:
     return cfg if seed is None else _with_fed(cfg, "seed", seed)
 
 
+def _size_keys(cfg: ExperimentConfig, shape: tuple) -> str:
+    """The config keys that set an array of this shape, with the sizes they set."""
+    spec = cfg.model_spec
+    model_keys = "data.n_features, data.n_classes" + (
+        ", model.hidden_units" if spec.kind == "mlp_1hidden" else "")
+    sizes = {
+        spec.param_dim: f"P = {spec.param_dim:,} parameters ({model_keys})",
+        cfg.fed.m_t: f"m_t = {cfg.fed.m_t:,} sampled clients (federation.K, federation.q)",
+        cfg.data.n_examples: f"{cfg.data.n_examples:,} examples (data.n_examples)",
+    }
+    named = list(dict.fromkeys(sizes[n] for n in shape if n in sizes))
+    return " and ".join(named) or "the data, model and federation sizes"
+
+
+@contextmanager
+def _allocations_of(cfg: ExperimentConfig):
+    """Turn an array that a run of cfg cannot allocate into a config error
+    that gives the array's size and the keys that set it."""
+    try:
+        yield
+    except MemoryError as exc:
+        shape = getattr(exc, "shape", None)
+        if shape is None:
+            raise ConfigError("the run ran out of memory; lower the data, model or "
+                              "federation sizes") from exc
+        gib = math.prod(shape) * np.dtype(exc.dtype).itemsize / 2**30
+        raise ConfigError(
+            f"a {exc.dtype} array of shape {shape} needs {gib:,.2f} GiB, which could not be "
+            f"allocated; its size is set by {_size_keys(cfg, shape)}") from exc
+
+
 def _cmd_run(args) -> int:
     cfg = _with_seed(_load_config(args.config), args.seed)
     out = Path(args.out or "runs/run")
-    summary = run_experiment(cfg, out)
+    with _allocations_of(cfg):
+        summary = run_experiment(cfg, out)
     if not args.quiet:
         print(f"run complete: {out}")
         print(
@@ -90,7 +126,8 @@ def _cmd_sweep(args) -> int:
     # every value passes the config file's checks before any run starts
     configs = [(f"{args.param}={raw}", _with_fed(base, args.param, _sweep_value(raw)))
                for raw in args.values.split(",")]
-    named = run_sweep(configs, args.param, out_root)
+    with _allocations_of(base):
+        named = run_sweep(configs, args.param, out_root)
     text, csv_text = compare_runs(named)
     if not args.quiet:
         print(text, end="")

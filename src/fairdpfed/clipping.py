@@ -46,8 +46,11 @@ def dual_clip(delta: ParamVector, S: float, M: float, norm=None, out=None):
 
     delta may also be a (k, P) block of rows, with norm then their norms (k,):
     each row is divided by its own denominator, the same floats as the
-    vector's, and written to ``out`` or a new array (an unclipped row times
-    1.0, which is the row), and a list of k reports is returned.
+    vector's, and a list of k reports is returned. Without ``out`` every row
+    is written to a new array (an unclipped row times 1.0, which is the
+    row). With ``out`` only the clipped rows are written to it, each to its
+    own row: an unclipped row is its delta row, as an unclipped vector is
+    returned as is, and its row of ``out`` is left alone.
     """
     if S <= 0 or M <= 0:
         raise ValueError("thresholds S and M must be positive")
@@ -63,7 +66,11 @@ def dual_clip(delta: ParamVector, S: float, M: float, norm=None, out=None):
         factor = 1.0 / denom
         reports = list(map(ClipReport, norm.tolist(), factor.tolist(),
                            np.where(denom == 1.0, "none", branch).tolist()))
-        return np.multiply(delta, factor[:, None], out=out), reports
+        if out is None:
+            return np.multiply(delta, factor[:, None]), reports
+        for i in np.flatnonzero(denom > 1.0).tolist():
+            np.multiply(delta[i], factor[i], out=out[i])
+        return out, reports
     denom = max(1.0, norm / S, norm / M)
     if denom == 1.0:
         return delta, ClipReport(pre_norm=norm, factor=1.0, clipped_by="none")

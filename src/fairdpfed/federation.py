@@ -14,9 +14,11 @@ shard pool, in the blocks of models.schedule: each full step is a block,
 and the short last minibatches run after them as ragged blocks of at most
 models.block_rows(P) clients; clients whose minibatches have the same row
 count run as one stacked matmul per product, and the rows are updated in
-place. The round's models.Plan binds those blocks to the matrix (views,
-minibatch buffers, work arrays) and is kept in the server state while the
-sampled spans repeat; it lives and dies with the run, as the matrix does.
+place. The run's models.Plan binds those blocks to the matrix (minibatch
+buffers, work arrays, each block's call list) and is kept in the server
+state; it lives and dies with the run, as the matrix does. When the sampled
+spans change (q < 1), it rebuilds only the schedule, the spans and the
+order, and emits call lists only for block keys the run has not met.
 train_clients is the program's one SGD loop: harness.centralized_baseline
 trains through it too, as one client on the whole training set, with a
 one-row plan bound once per call. Each epoch the sampled clients' shuffles
@@ -28,7 +30,8 @@ times any update bias), and l2_norm takes their norms, each update's one
 finiteness check, in one call. The server then clips the rows a block of
 the same row budget at a time, dual_clip clipping each block, and adds them
 to a running total in sampled order, by one reduction when one block holds
-the round: one read of the matrix.
+the round: one read of the matrix. Over several blocks, only the rows that
+clip are scaled; the others are added straight from the matrix.
 When every client is sampled nothing is drawn. Evaluation reads the test
 set's group index, worked out once.
 """
@@ -149,7 +152,7 @@ class ServerState:
     w_global: ParamVector
     ledger: PrivacyLedger
     updates: np.ndarray = None  # the (m_t, P) update matrix, reused per round
-    plan: models.Plan = None  # bound to updates, reused while the sampled spans repeat
+    plan: models.Plan = None  # bound to updates for the run, given each round's spans
 
 
 def sample_clients(K: int, q: float, rng: RngStream) -> list:
@@ -186,9 +189,11 @@ def aggregate_round(D: np.ndarray, config: FedConfig, norms):
     as it is), and the clipped rows are added to a total from 0.0 in sampled
     order. When one block holds every row, one reduction over the block's
     first axis adds them: it starts from 0.0 and adds the rows of a
-    C-contiguous matrix in order. Otherwise each block is clipped into one
-    buffer and its rows are added to the running total in place. Either way
-    the average is bit-identical to summing the clipped matrix.
+    C-contiguous matrix in order. Otherwise dual_clip writes each block's
+    clipped rows into one buffer, and the rows are added to the running
+    total in place: a clipped row from the buffer, an unclipped one (factor
+    1.0) straight from D. Either way the average is bit-identical to summing
+    the clipped matrix.
     Returns (averaged update, S_used, list of ClipReport).
     """
     S = adaptive_S(norms) if config.S_policy == "median_adaptive" else config.S_fixed
@@ -200,11 +205,12 @@ def aggregate_round(D: np.ndarray, config: FedConfig, norms):
         return np.add.reduce(clipped, axis=0, initial=0.0) / m, S, reports
     total, clipped, reports = np.zeros(P), np.empty((rows, P)), []
     for a in range(0, m, rows):
-        block, block_reports = dual_clip(D[a : a + rows], S, config.M, norm=norms[a : a + rows],
-                                         out=clipped[: min(rows, m - a)])
+        block = D[a : a + rows]
+        scaled, block_reports = dual_clip(block, S, config.M, norm=norms[a : a + rows],
+                                          out=clipped[: len(block)])
         reports += block_reports
-        for row in block:
-            total += row
+        for row, scaled_row, report in zip(block, scaled, block_reports):
+            total += row if report.factor == 1.0 else scaled_row
     return total / m, S, reports
 
 
@@ -239,10 +245,12 @@ def run_round(
             pass
 
     spans = [(shards[cid].start, shards[cid].stop) for cid in sampled]
-    if state.plan is None or state.plan.spans != spans:
-        state.plan = models.Plan(spec, spans, config.batch_size, D)
-    models.train_clients(spec, state.w_global, shards[0].pool, state.plan, config.epochs,
-                         config.lr, round_stream, sampled, finish)
+    if state.plan is None:
+        state.plan = models.Plan(spec, spans, config.batch_size, config.lr, D)
+    else:  # keeps the run's buffers and call lists
+        state.plan.set_spans(spans)
+    models.train_clients(state.w_global, shards[0].pool, state.plan, config.epochs,
+                         round_stream, sampled, finish)
     if np.isnan(norms).any():  # name the first sampled client whose update is not finite
         with np.errstate(over="ignore"):
             finite = [math.isfinite(row.dot(row)) for row in D]

@@ -247,18 +247,19 @@ def centralized_baseline(cfg: ExperimentConfig, train: LabeledBatch, test: Label
 
     The baseline is client 0 of a one-client federation on all of train,
     trained by :func:`models.train_clients` in the one row of a matrix whose
-    :class:`models.Plan` is bound once per call. Each round trains from the
-    last round's model with the federated round/epoch schedule and
-    substreams, so a single-client federation with no clipping or noise
-    reproduces it bit for bit.
+    :class:`models.Plan` is bound once per call: its steps share one call
+    list per minibatch size. Each round trains from the last round's model
+    with the federated round/epoch schedule and substreams, so a
+    single-client federation with no clipping or noise reproduces it bit
+    for bit.
     """
     spec = cfg.model_spec
     root = RngStream(cfg.fed.seed)
     W = models.init_params(spec, root.child("init"))[None, :]
-    plan = models.Plan(spec, [(0, len(train))], cfg.fed.batch_size, W)
+    plan = models.Plan(spec, [(0, len(train))], cfg.fed.batch_size, cfg.fed.lr, W)
     for t in range(cfg.fed.T):
-        models.train_clients(spec, W[0].copy(), train, plan, cfg.fed.epochs, cfg.fed.lr,
-                             root.child("round", t), [0])
+        models.train_clients(W[0].copy(), train, plan, cfg.fed.epochs, root.child("round", t),
+                             [0])
     return W[0], models.evaluate(spec, W[0], test)
 
 

@@ -11,26 +11,37 @@ train through it. It runs minibatch SGD for many clients together, client i
 in row i of a matrix that it updates in place, on row spans of one pool.
 Each epoch it runs :func:`schedule`'s blocks: the full minibatches step by
 step, then the short last ones as ragged blocks of at most
-:func:`block_rows` clients, sorted by row count. A :class:`Plan` binds
-those blocks to the matrix once, while the sampled spans repeat: every
-client's pool rows (shuffled in place each epoch by
-numeric.shuffle_clients), each block's parameter and gradient arrays and
-its subgroups' views of them, and the buffers its minibatch and its
-intermediates are written into. An epoch therefore costs one pass over the
-blocks plus the shuffles. A block's rows are one gather from the pool. Its
-clients with one row count form a subgroup, whose forward and backward
-products run as one stacked matmul each, which applies to every (n, d)
-slice the kernel that one model's 2-D product uses; a subgroup of one
-client makes those 2-D calls itself. The elementwise stages, the update
-and the write-back run once per block. Each row therefore ends
-bit-identical to training its client alone. A row is set to the start
-model at its client's first step, and a block's finished rows are handed
-to a caller's hook at once, right after the block's step, so a wide
-model's rows are finished while they are still in cache. Overflow is
-ignored: runaway weights saturate the probabilities, and the hook's norm
-check reports the update. :func:`gradient` (one block of one model) and
-:func:`train_clients` share one gradient formula, :func:`_gradients`,
-which writes every intermediate into work arrays.
+:func:`block_rows` clients, sorted by row count. A block's clients with one
+row count form a subgroup, whose forward and backward products run as one
+stacked matmul each, which applies to every (n, d) slice the kernel that one
+model's 2-D product uses; a subgroup of one client makes those 2-D calls
+itself. The elementwise stages, the update and the write-back run once per
+block, and each act on each row alone, so each row ends bit-identical to
+training its client alone.
+
+The gradient formula is written once, as an emitter: :func:`_forward` and
+:func:`_gradients` return a block's calls as a list of (ufunc, args) pairs,
+every output passed positionally, every view they read or write (the
+transposes, the bias rows, the p view, the subgroups' slices) built into
+the list. :func:`gradient`, :func:`loss` and :func:`evaluate` emit a list
+and run it once. A :class:`Plan` emits each block's list, followed by the
+update, when it first binds a block of that key, and keeps the lists, and
+the buffers they are bound to, for the run: a step then runs its list with
+no keyword parsing, scalar conversion or view building. The calls are those
+the formula always made, with bit-identical substitutions:
+``np.reciprocal(z)`` for ``1.0 / z`` (the one IEEE division either way);
+read-only 0-d float64 arrays for 1.0, the minibatch size and the learning
+rate (a ufunc turns a Python number into that array on every call); float64
+labels, taken per block from a copy made per :func:`train_clients` call
+(0/1 and class indices are exact in float64, and subtracting them is the
+same float64 subtraction the int64 labels were cast to); a preallocated
+softmax mask filled by np.equal (the same one-hot bools); and
+np.maximum.reduce and np.add.reduce with positional keepdims, which is what
+np.max and np.sum call. A row is set to the start model at its client's first step, and a
+block's finished rows are handed to a caller's hook at once, right after the
+block's step, so a wide model's rows are finished while they are still in
+cache. Overflow is ignored: runaway weights saturate the probabilities, and
+the hook's norm check reports the update.
 """
 
 from __future__ import annotations
@@ -45,6 +56,19 @@ import numpy as np
 from .numeric import ParamVector, RngStream, check_types, shuffle_clients
 
 PROB_CLAMP = 1e-12
+
+
+def _constant(value: float) -> np.ndarray:
+    """value as a read-only 0-d float64 array: a call list's scalar operand,
+    converted once. A ufunc takes it faster than a Python or numpy scalar,
+    which it would convert to such an array on every call, and computes the
+    same float64 loop."""
+    a = np.array(float(value))
+    a.flags.writeable = False
+    return a
+
+
+ONE = _constant(1.0)
 
 
 @dataclass(frozen=True)
@@ -140,26 +164,38 @@ def _T(a: np.ndarray) -> np.ndarray:
 
 def _work(spec: ModelSpec, lead: tuple, flat=None) -> tuple:
     """The work arrays :func:`_forward` and :func:`_gradients` compute in, for
-    inputs of lead = (..., n) rows: the head's outputs (..., n, n_out), one
-    value per row (..., n, 1) and, for the MLP, the hidden activations and
-    their backward pass, each (..., n, h). They are the leading elements of
-    the flat buffers when given (one per array, as :func:`_work_widths`
-    lists them), else new arrays."""
-    widths = _work_widths(spec)
+    inputs of lead = (..., n) rows, as :func:`_work_layout` lists them: the
+    head's outputs (..., n, n_out), one value per row (..., n, 1), for the
+    MLP the hidden activations and their backward pass, each (..., n, h), and
+    for a softmax head the label mask (..., n, n_out). They are the leading
+    elements of the flat buffers when given (one per array), else new
+    arrays."""
+    layout = _work_layout(spec)
     if flat is None:
-        return tuple(np.empty(lead + (w,)) for w in widths)
+        return tuple(np.empty(lead + (w,), dtype) for w, dtype in layout)
     size = math.prod(lead)
-    return tuple(b[: size * w].reshape(lead + (w,)) for b, w in zip(flat, widths))
+    return tuple(b[: size * w].reshape(lead + (w,)) for b, (w, _) in zip(flat, layout))
 
 
-def _work_widths(spec: ModelSpec) -> tuple:
-    mlp = spec.kind == "mlp_1hidden"
-    return (spec.n_out, 1) + ((spec.hidden_units,) * 2 if mlp else ())
+def _work_layout(spec: ModelSpec) -> list:
+    """(width, dtype) of each of :func:`_work`'s arrays."""
+    layout = [(spec.n_out, np.float64), (1, np.float64)]
+    if spec.kind == "mlp_1hidden":
+        layout += [(spec.hidden_units, np.float64)] * 2
+    if spec.n_out > 1:
+        layout.append((spec.n_out, np.bool_))
+    return layout
 
 
-def _forward(spec: ModelSpec, groups, work: tuple):
-    """Return (probabilities, hidden activations or None) of a block, both
-    views of its work arrays (see :func:`_work`).
+def _run(ops: list) -> None:
+    """Make a call list's calls, in order."""
+    for f, args in ops:
+        f(*args)
+
+
+def _forward(spec: ModelSpec, groups, work: tuple, ops: list) -> np.ndarray:
+    """Append to ops the calls that compute a block's probabilities, and
+    return the view of its work arrays (see :func:`_work`) they end in.
 
     A block is a run of rows, one minibatch per model, in subgroups of equal
     row count. groups lists them as (parts, X, work, ...): :func:`_unflatten`'s
@@ -172,36 +208,36 @@ def _forward(spec: ModelSpec, groups, work: tuple):
     """
     z, r = work[:2]
     if spec.kind == "logistic_regression":
-        hidden = None
         for (W, b), X, sub, *_ in groups:
-            np.matmul(X, _T(W), out=sub[0])
-            np.add(sub[0], b[..., None, :], out=sub[0])
+            ops += [(np.matmul, (X, _T(W), sub[0])), (np.add, (sub[0], b[..., None, :], sub[0]))]
     else:
         hidden = work[2]
         for (W1, b1, _, _), X, sub, *_ in groups:
-            np.matmul(X, W1, out=sub[2])
-            np.add(sub[2], b1[..., None, :], out=sub[2])
-        np.tanh(hidden, out=hidden)
+            ops += [(np.matmul, (X, W1, sub[2])), (np.add, (sub[2], b1[..., None, :], sub[2]))]
+        ops.append((np.tanh, (hidden, hidden)))
         for (_, _, W2, b2), _, sub, *_ in groups:
-            np.matmul(sub[2], W2, out=sub[0])
-            np.add(sub[0], b2[..., None, :], out=sub[0])
+            ops += [(np.matmul, (sub[2], W2, sub[0])),
+                    (np.add, (sub[0], b2[..., None, :], sub[0]))]
     if spec.n_out == 1:  # 1 / (1 + exp(-z))
-        np.negative(z, out=z)
-        np.exp(z, out=z)
-        z += 1.0
-        np.divide(1.0, z, out=z)
-        return z[..., 0], hidden
-    np.max(z, axis=-1, keepdims=True, out=r)
-    z -= r
-    np.exp(z, out=z)
-    np.sum(z, axis=-1, keepdims=True, out=r)
-    z /= r
-    return z, hidden
+        ops += [(np.negative, (z, z)), (np.exp, (z, z)), (np.add, (z, ONE, z)),
+                (np.reciprocal, (z, z))]
+        return z[..., 0]
+    ops += [(np.maximum.reduce, (z, -1, None, r, True)), (np.subtract, (z, r, z)),
+            (np.exp, (z, z)), (np.add.reduce, (z, -1, None, r, True)), (np.divide, (z, r, z))]
+    return z
 
 
 def init_params(spec: ModelSpec, rng: RngStream) -> ParamVector:
     """Uniform[-0.05, 0.05] initialization, deterministic in the stream."""
     return rng.generator().uniform(-0.05, 0.05, size=spec.param_dim)
+
+
+def _probabilities(spec: ModelSpec, w: ParamVector, data: LabeledBatch) -> np.ndarray:
+    """:func:`_forward`'s probabilities of one model on every row of data."""
+    work, ops = _work(spec, data.labels.shape), []
+    p = _forward(spec, [(_unflatten(spec, w), data.features, work)], work, ops)
+    _run(ops)
+    return p
 
 
 def _mean_loss(spec: ModelSpec, p: np.ndarray, y: np.ndarray) -> float:
@@ -221,48 +257,49 @@ def loss(spec: ModelSpec, w: ParamVector, batch: LabeledBatch) -> float:
     """Mean cross-entropy with probabilities clamped away from 0 and 1."""
     if len(batch) == 0:
         raise ValueError("loss of empty batch is undefined")
-    work = _work(spec, batch.labels.shape)
-    p, _ = _forward(spec, [(_unflatten(spec, w), batch.features, work)], work)
-    return _mean_loss(spec, p, batch.labels)
+    return _mean_loss(spec, _probabilities(spec, w, batch), batch.labels)
 
 
-def _gradients(spec: ModelSpec, groups, y: np.ndarray, n, work: tuple) -> None:
-    """Write the analytic gradients of :func:`loss` for a block of models.
+def _gradients(spec: ModelSpec, groups, y: np.ndarray, n, work: tuple) -> list:
+    """The call list that writes the analytic gradients of :func:`loss` for
+    a block of models: (ufunc, args) pairs, every output passed positionally.
 
     groups lists the block's subgroups as (parts, X, work, grads), as
     :func:`_forward` reads them, with grads :func:`_unflatten`'s views of a
-    gradient buffer shaped as the parts. y (R,) holds the block's labels and
-    n each row's minibatch size: a number, or a column (R, 1) when the
-    subgroups' row counts differ. work is :func:`_work` for (R,) rows; every
-    intermediate is written into it. Every product of a stack is a stacked
-    matmul whose slices have the strides a single model's 2-D product has,
-    each slice runs the same kernel, and the elementwise stages act on each
-    row alone, so model k's gradient is bit-identical to the gradient of
-    model k alone.
+    gradient buffer shaped as the parts. y (R,) holds the block's labels as
+    float64 and n each row's minibatch size: a 0-d array, or a column
+    (R, 1) when the subgroups' row counts differ. work is :func:`_work` for
+    (R,) rows; every intermediate is written into it. The list holds every
+    view it reads or writes, so running it reads whatever the arrays behind
+    those views hold then. Every product of a stack is a stacked matmul
+    whose slices have the strides a single model's 2-D product has, each
+    slice runs the same kernel, and the elementwise stages act on each row
+    alone, so model k's gradient is bit-identical to the gradient of model
+    k alone.
     """
-    p, hidden = _forward(spec, groups, work)
+    ops = []
+    p = _forward(spec, groups, work, ops)
     delta = work[0]  # p's array, (R, n_out)
     if spec.n_out == 1:
-        p -= y
-    else:
-        delta -= y[:, None] == np.arange(spec.n_out)
-    delta /= n
+        ops.append((np.subtract, (p, y, p)))
+    else:  # minus the one-hot labels
+        mask = work[-1]
+        ops += [(np.equal, (y[:, None], np.arange(spec.n_out, dtype=np.float64), mask)),
+                (np.subtract, (delta, mask, delta))]
+    ops.append((np.divide, (delta, n, delta)))
     if spec.kind == "logistic_regression":
         for _, X, sub, (gW, gb) in groups:
-            np.matmul(_T(sub[0]), X, out=gW)
-            np.add.reduce(sub[0], axis=-2, out=gb)
-        return
+            ops += [(np.matmul, (_T(sub[0]), X, gW)), (np.add.reduce, (sub[0], -2, None, gb))]
+        return ops
+    hidden, back = work[2:4]
     for parts, _, sub, (_, _, gW2, gb2) in groups:
-        np.matmul(_T(sub[2]), sub[0], out=gW2)
-        np.add.reduce(sub[0], axis=-2, out=gb2)
-        np.matmul(sub[0], _T(parts[2]), out=sub[3])  # the backward pass, (..., n, h)
-    back = work[3]
-    np.square(hidden, out=hidden)
-    np.subtract(1.0, hidden, out=hidden)
-    back *= hidden
+        ops += [(np.matmul, (_T(sub[2]), sub[0], gW2)), (np.add.reduce, (sub[0], -2, None, gb2)),
+                (np.matmul, (sub[0], _T(parts[2]), sub[3]))]  # the backward pass, (..., n, h)
+    ops += [(np.square, (hidden, hidden)), (np.subtract, (ONE, hidden, hidden)),
+            (np.multiply, (back, hidden, back))]
     for _, X, sub, (gW1, gb1, _, _) in groups:
-        np.matmul(_T(X), sub[3], out=gW1)
-        np.add.reduce(sub[3], axis=-2, out=gb1)
+        ops += [(np.matmul, (_T(X), sub[3], gW1)), (np.add.reduce, (sub[3], -2, None, gb1))]
+    return ops
 
 
 @np.errstate(over="ignore")
@@ -272,8 +309,8 @@ def gradient(spec: ModelSpec, w: ParamVector, batch: LabeledBatch) -> ParamVecto
         raise ValueError("gradient of empty batch is undefined")
     G = np.empty(spec.param_dim)
     work = _work(spec, batch.labels.shape)
-    _gradients(spec, [(_unflatten(spec, w), batch.features, work, _unflatten(spec, G))],
-               batch.labels, len(batch), work)
+    _run(_gradients(spec, [(_unflatten(spec, w), batch.features, work, _unflatten(spec, G))],
+                    batch.labels.astype(np.float64), _constant(len(batch)), work))
     return G
 
 
@@ -359,25 +396,49 @@ def _models(A: np.ndarray, c: int, g: int) -> np.ndarray:
 
 class Plan:
     """:func:`schedule`'s blocks for clients on these spans of a pool, bound
-    once to the (m, P) matrix W that :func:`train_clients` trains them in.
+    to the (m, P) matrix W that :func:`train_clients` trains them in with
+    learning rate lr.
 
-    It holds everything an epoch reuses: every client's pool rows (the
-    template its shuffle starts from), the buffer they are shuffled in and
-    its per-client views, and one step per block. Shuffling a client's rows
-    start .. stop - 1 in place draws the swaps of shuffling 0 .. n - 1, so
-    the buffer then holds start plus the client's permutation. A step holds
-    the block's minibatch buffers, its parameter and gradient arrays, its
-    work arrays (see :func:`_work`), each subgroup's views of them, and each
-    row's minibatch size. A contiguous block's parameters are views of W; a
+    It holds what a run's epochs reuse. Per sample of spans
+    (:meth:`set_spans`): every client's pool rows (the template its shuffle
+    starts from), the buffer they are shuffled in and its per-client views,
+    the epoch's pool rows in block order, and one step per block. Shuffling
+    a client's rows start .. stop - 1 in place draws the swaps of shuffling
+    0 .. n - 1, so the buffer then holds start plus the client's
+    permutation. For the run: the buffers, the views of each block shape
+    and each block key's call list. Blocks run one after another, so all of
+    them share one buffer of each kind: the minibatch rows, their float64
+    labels and the work arrays (see :func:`_work`), sized for the largest
+    block, and the gradient and the gathered parameters, sized for
+    block_rows(P) models. A contiguous block's parameters are views of W; a
     block of scattered clients is gathered into a buffer and written back
-    after each step. Blocks run one after another, so all of them share one
-    buffer of each kind, sized for the largest block, and blocks of one
-    shape share its views.
+    after each step.
+
+    A call list is :func:`_gradients`' list for the block's views, followed
+    by the update G *= lr; W -= G, emitted when a block of its key is first
+    bound. The key is (the block's subgroups, its rows of W when contiguous,
+    else None: every gathered block reads the gather buffer). Blocks of one
+    key share the list, across epochs, rounds and samples: every step of a
+    one-client plan shares one. A sample whose largest block outgrows the
+    minibatch buffers allocates larger ones and drops the views and lists
+    bound to the old.
     """
 
-    def __init__(self, spec: ModelSpec, spans: list, batch_size: int, W: np.ndarray):
-        self.spans, self.W = spans, W
-        sizes, offsets, blocks, order = schedule(spec, spans, batch_size)
+    def __init__(self, spec: ModelSpec, spans: list, batch_size: int, lr: float,
+                 W: np.ndarray):
+        self.spec, self.batch_size, self.lr, self.W = spec, batch_size, _constant(lr), W
+        size = min(len(W), block_rows(spec.param_dim)) * spec.param_dim
+        self.G, self.gathered = np.empty(size), np.empty(size)
+        self.cells, self.spans = 0, None
+        self.set_spans(spans)
+
+    def set_spans(self, spans: list) -> None:
+        """Bind the plan to the clients on these spans (a no-op when they are
+        its spans already), keeping its buffers and call lists."""
+        if spans == self.spans:
+            return
+        self.spans = spans
+        sizes, offsets, blocks, order = schedule(self.spec, spans, self.batch_size)
         local = np.arange(len(offsets)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
         self.span_rows = offsets + local  # client i's pool rows start .. stop - 1
         self.shuffled = np.empty_like(self.span_rows)
@@ -385,57 +446,67 @@ class Plan:
         self.order = order
         self.rows = np.empty_like(order)  # the epoch's pool rows, in block order
 
-        P, d = spec.param_dim, spec.n_features
-        max_models = max(sum(g for g, _ in subgroups) for _, subgroups, *_ in blocks)
-        max_cells = max(c.stop - c.start for *_, c in blocks)
-        X, y = np.empty(max_cells * d), np.empty(max_cells, dtype=np.int64)
-        G, gathered = np.empty(max_models * P), np.empty(max_models * P)
-        work = [np.empty(max_cells * w) for w in _work_widths(spec)]
-        shapes = {}
+        cells = max(c.stop - c.start for *_, c in blocks)
+        if cells > self.cells:
+            self.cells, self.shapes, self.lists = cells, {}, {}
+            self.X, self.y = np.empty(cells * self.spec.n_features), np.empty(cells)
+            self.work = [np.empty(cells * w, dtype) for w, dtype in _work_layout(self.spec)]
         self.steps = []
         for rows, subgroups, fresh, done, cells in blocks:
-            m, R = sum(g for g, _ in subgroups), cells.stop - cells.start
-            key = tuple(subgroups)
-            if key not in shapes:
-                Gb, Wb = G[: m * P].reshape(m, P), gathered[: m * P].reshape(m, P)
-                Xb, work_b = X[: R * d].reshape(R, d), _work(spec, (R,), work)
-                firsts = np.cumsum([(0, 0)] + [(g, g * n) for g, n in subgroups], axis=0)
-                subs = [(c, g, slice(r, r + g * n)) for (c, r), (g, n) in zip(firsts, subgroups)]
-                sizes_n = (subgroups[0][1] if len(subgroups) == 1 else  # each row's minibatch size
-                           np.repeat([n for _, n in subgroups], [g * n for g, n in subgroups])
-                           .astype(np.float64)[:, None])
-                views = [(_stack(Xb[r], g), tuple(_stack(a[r], g) for a in work_b),
-                          _unflatten(spec, _models(Gb, c, g)), _unflatten(spec, _models(Wb, c, g)))
-                         for c, g, r in subs]
-                shapes[key] = (Xb, y[:R], Gb, work_b, sizes_n, subs, Wb, views)
-            Xb, yb, Gb, work_b, sizes_n, subs, Wb, views = shapes[key]
-            if isinstance(rows, slice):
-                clients, gather, Wg = np.arange(rows.start, rows.stop), None, W[rows]
-                parts = [_unflatten(spec, _models(Wg, c, g)) for c, g, _ in subs]
-            else:
-                clients = gather = np.array(rows)
-                Wg, parts = Wb, [gathered_parts for *_, gathered_parts in views]
-            groups = [(p, Xs, ws, gs) for p, (Xs, ws, gs, _) in zip(parts, views)]
+            contiguous = isinstance(rows, slice)
+            key = (tuple(subgroups), (rows.start, rows.stop) if contiguous else None)
+            if key not in self.lists:
+                self.lists[key] = self._bind(key[0], rows if contiguous else None)
+            X, y, Wg, ops = self.lists[key]
+            gather = None if contiguous else np.array(rows)
+            m = len(Wg)
             # all of the block's clients (slice(None)), some or none (None)
             starts = None if not fresh else slice(None) if len(fresh) == m else fresh
-            ends = (None if not done else (None, clients) if len(done) == m else
-                    (done, clients[done]))
-            self.steps.append((self.rows[cells], Xb, yb, gather, Wg, Gb, groups, sizes_n, work_b,
-                               starts, ends))
+            ends = None
+            if done:
+                clients = gather if gather is not None else np.arange(rows.start, rows.stop)
+                ends = (None, clients) if len(done) == m else (done, clients[done])
+            self.steps.append((self.rows[cells], X, y, gather, Wg, starts, ends, ops))
+
+    def _shape(self, subgroups: tuple) -> tuple:
+        """The views every block of these subgroups computes in: its
+        minibatch, labels, gradient and work arrays, each subgroup's
+        (first model, models, minibatch, work, gradient parts), and each
+        row's minibatch size."""
+        if subgroups not in self.shapes:
+            spec = self.spec
+            P, d = spec.param_dim, spec.n_features
+            m, R = sum(g for g, _ in subgroups), sum(g * n for g, n in subgroups)
+            G = self.G[: m * P].reshape(m, P)
+            X, work = self.X[: R * d].reshape(R, d), _work(spec, (R,), self.work)
+            subs, c, r = [], 0, 0
+            for g, n in subgroups:
+                rows = slice(r, r + g * n)
+                subs.append((c, g, _stack(X[rows], g), tuple(_stack(a[rows], g) for a in work),
+                             _unflatten(spec, _models(G, c, g))))
+                c, r = c + g, r + g * n
+            n = (_constant(subgroups[0][1]) if len(subgroups) == 1 else
+                 np.repeat([n for _, n in subgroups], [g * n for g, n in subgroups])
+                 .astype(np.float64)[:, None])
+            self.shapes[subgroups] = (X, self.y[:R], G, work, subs, n)
+        return self.shapes[subgroups]
+
+    def _bind(self, subgroups: tuple, rows) -> tuple:
+        """(minibatch buffer, label buffer, parameters, call list) of a block
+        of these subgroups, on W[rows] when rows is a slice, else on the
+        gather buffer."""
+        X, y, G, work, subs, n = self._shape(subgroups)
+        Wg = self.gathered[: G.size].reshape(G.shape) if rows is None else self.W[rows]
+        groups = [(_unflatten(self.spec, _models(Wg, c, g)), Xs, ws, gs)
+                  for c, g, Xs, ws, gs in subs]
+        ops = _gradients(self.spec, groups, y, n, work)
+        ops += [(np.multiply, (G, self.lr, G)), (np.subtract, (Wg, G, Wg))]
+        return X, y, Wg, ops
 
 
 @np.errstate(over="ignore")
-def train_clients(
-    spec: ModelSpec,
-    w0: ParamVector,
-    pool: LabeledBatch,
-    plan: Plan,
-    epochs: int,
-    lr: float,
-    rng: RngStream,
-    ids: list,
-    finish=None,
-) -> None:
+def train_clients(w0: ParamVector, pool: LabeledBatch, plan: Plan, epochs: int, rng: RngStream,
+                  ids: list, finish=None) -> None:
     """Minibatch SGD for m clients at once from the start model w0, client i
     in row i of plan.W.
 
@@ -444,33 +515,37 @@ def train_clients(
     held before is ignored) and updated in place. Each epoch, client i's
     pool rows are shuffled in place as rng.child("client", ids[i])
     .child("epoch", e) would shuffle them (see :func:`shuffle_clients`), and
-    the plan's blocks run in turn. A block's rows are one take from the pool
-    into its buffers; its products run per subgroup as stacked matmuls and
-    everything else once per block (see :func:`_gradients`), so every row
-    ends bit-identical to training its client alone. Right after the block
-    that holds the last step of clients rows (an int array), finish(rows, B)
-    is called with B (len(rows), P) holding their final models, once per
-    client, in the order the blocks run. The hook may change B in place;
-    W[rows] then holds what it left there.
+    the plan's blocks run in turn. A block's rows are one take of features
+    and one of float64 labels into its buffers, any row that starts is set
+    to w0 (after a gather of the block's rows of W when they are scattered),
+    and then its call list runs: the products per subgroup as stacked
+    matmuls, everything else once per block, then the update (see
+    :func:`_gradients`), so every row ends bit-identical to training its
+    client alone. Right after the block that holds the last step of clients
+    rows (an int array), finish(rows, B) is called with B (len(rows), P)
+    holding their final models, once per client, in the order the blocks
+    run. The hook may change B in place; W[rows] then holds what it left
+    there.
     """
-    W, rows = plan.W, plan.rows
+    W, rows, features = plan.W, plan.rows, pool.features
+    labels = pool.labels.astype(np.float64)  # as the pool holds them now, flipped or not
     for e in range(epochs):
         np.copyto(plan.shuffled, plan.span_rows)
         shuffle_clients(rng, ids, e, plan.views)
         np.take(plan.shuffled, plan.order, out=rows)
         last = finish is not None and e == epochs - 1
-        for idx, X, y, gather, Wg, G, groups, n, work, starts, ends in plan.steps:
+        for idx, X, y, gather, Wg, starts, ends, ops in plan.steps:
+            # take(indices, axis, out, mode), positional as in the call lists;
             # every index is in range: mode "clip" only spares take a buffer
-            pool.features.take(idx, axis=0, out=X, mode="clip")
-            pool.labels.take(idx, out=y, mode="clip")
+            features.take(idx, 0, X, "clip")
+            labels.take(idx, None, y, "clip")
             fresh = starts if e == 0 else None
             if gather is not None and fresh != slice(None):  # else every row is set to w0
                 W.take(gather, axis=0, out=Wg, mode="clip")
             if fresh is not None:
                 Wg[fresh] = w0
-            _gradients(spec, groups, y, n, work)
-            G *= lr
-            Wg -= G
+            for f, args in ops:  # _run, inline: this loop runs every step
+                f(*args)
             if last and ends is not None:
                 done, done_rows = ends
                 if done is None:  # the block's every client ends here
@@ -487,8 +562,7 @@ def train_clients(
 def evaluate(spec: ModelSpec, w: ParamVector, data: LabeledBatch) -> EvalMetrics:
     """Accuracy (ties break toward the lowest class index), per-group accuracy
     and :func:`loss`, from one forward pass over data and its group index."""
-    work = _work(spec, data.labels.shape)
-    p, _ = _forward(spec, [(_unflatten(spec, w), data.features, work)], work)
+    p = _probabilities(spec, w, data)
     yhat = (p > 0.5).astype(np.int64) if spec.n_out == 1 else np.argmax(p, axis=1)
     correct = yhat == data.labels
     groups, index, counts = data.group_index

@@ -68,8 +68,8 @@ def one_row_train_clients(spec, w0, batch, epochs, lr, batch_size, rng, cid):
     """models.train_clients training one client, cid, on all of batch from
     w0, in the one row of a matrix: the centralized baseline's call form."""
     W = np.full((1, spec.param_dim), np.nan)
-    plan = models.Plan(spec, [(0, len(batch))], batch_size, W)
-    models.train_clients(spec, w0, batch, plan, epochs, lr, rng, [cid])
+    plan = models.Plan(spec, [(0, len(batch))], batch_size, lr, W)
+    models.train_clients(w0, batch, plan, epochs, rng, [cid])
     return W[0]
 
 

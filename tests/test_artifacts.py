@@ -123,11 +123,27 @@ def _many_short_shards_config() -> dict:
     }
 
 
+def _wide_resampled_config() -> dict:
+    """An MLP of 3,329 parameters (19 clients a block) over 60 IID clients of
+    13 or 14 rows, half of them sampled per round, in minibatches of 4: each
+    round's full steps are blocks of rows 0-18 and 19-29 of the update
+    matrix, and its 1- and 2-row last minibatches gathered blocks, so the
+    blocks' keys recur across rounds while the sampled spans change."""
+    return {
+        "data": {"n_examples": 1000, "n_features": 50},
+        "model": {"kind": "mlp_1hidden", "hidden_units": 64},
+        "federation": {"K": 60, "q": 0.5, "T": 4, "epochs": 1, "lr": 0.1, "batch_size": 4,
+                       "seed": 5},
+    }
+
+
 @pytest.mark.parametrize("raw, sha256", [
     (_label_flip_config(), "ff889aaf8bfcbf276088e649104cb8447b413f8f52dc5ed8be073f860030ef01"),
     (_many_short_shards_config(),
      "1a0837dc5381e5bf06dad236672196ed6853505ab2b526f44f4ff0ab2fd17c14"),
-], ids=["label_flip", "many_short_shards"])
+    (_wide_resampled_config(),
+     "1447e21b8db631ec97086b9f04fe4e70ad9d3826aa7870bac259d364d00ac0db"),
+], ids=["label_flip", "many_short_shards", "wide_resampled"])
 def test_config_rounds_bytes_pinned(tmp_path, raw, sha256):
     run_experiment(config_from_dict(raw), tmp_path)
     assert _sha256(tmp_path / "rounds.jsonl") == sha256

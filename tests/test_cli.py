@@ -5,7 +5,7 @@ import pytest
 
 from helpers_fed import BAD_VALUES, bad_section
 
-from fairdpfed import harness
+from fairdpfed import cli, harness
 from fairdpfed.cli import main
 
 
@@ -60,6 +60,28 @@ class TestRun:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("config error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "M", "--values", "1,2"]],
+                             ids=["run", "sweep"])
+    def test_model_too_large_to_allocate_exit_code(self, tmp_path, capsys, command):
+        """numpy refuses a 160 TiB parameter vector at once, touching no memory."""
+        raw = {"federation": {"K": 5}, "model": {"kind": "mlp_1hidden", "hidden_units": 10**12}}
+        rc = main(["--quiet", "--out", str(tmp_path / "run"), command[0],
+                   write_config(tmp_path, raw)] + command[1:])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("config error: a float64 array of shape (22000000000001,) "
+                              "needs 163,912.77 GiB")
+        assert "model.hidden_units" in err and "P = 22,000,000,000,001" in err
+
+    def test_too_large_update_matrix_names_its_keys(self):
+        cfg = harness.config_from_dict({"federation": {"K": 5},
+                                        "model": {"kind": "mlp_1hidden", "hidden_units": 10}})
+        keys = cli._size_keys(cfg, (5, cfg.model_spec.param_dim))
+        assert keys == ("m_t = 5 sampled clients (federation.K, federation.q) and "
+                        "P = 221 parameters (data.n_features, data.n_classes, "
+                        "model.hidden_units)")
 
     def test_infeasible_dirichlet_split_exit_code(self, tmp_path, capsys):
         raw = {"data": {"n_examples": 300, "n_features": 5},

@@ -100,8 +100,14 @@ class TestDualClipBlock:
         out = np.full_like(D, np.nan)
         clipped, reports = dual_clip(D, S, M, norm=norms, out=out)
         assert clipped is out
-        for row, got, norm, report in zip(D, clipped, norms, reports):
+        new, new_reports = dual_clip(D, S, M)  # norms taken when not given
+        assert new_reports == reports
+        for row, got, new_row, norm, report in zip(D, clipped, new, norms, reports):
             want, want_report = dual_clip(row, S, M, norm=float(norm))
-            assert got.tobytes() == want.tobytes() and report == want_report
+            assert new_row.tobytes() == want.tobytes() and report == want_report
+            if report.factor == 1.0:  # returned as is: out's row is not written
+                assert want is row and np.isnan(got).all()
+            else:
+                assert got.tobytes() == want.tobytes()
         assert {r.clipped_by for r in reports} >= {"none"}
-        assert dual_clip(D, S, M)[1] == reports  # norms taken when not given
+        assert {r.clipped_by for r in reports} != {"none"}

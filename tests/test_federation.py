@@ -279,6 +279,47 @@ class TestRunOwnsItsBuffers:
         assert all(ref() is None for ref in refs)
 
 
+class TestRunKeepsItsCallLists:
+    def test_resampled_round_emits_lists_only_for_new_keys(self, monkeypatch):
+        """Half of 60 clients sampled per round: the plan, its buffers and its
+        call lists stay the run's, and a round emits a list only for a block
+        key (subgroups, contiguous rows of the update matrix or None) that no
+        earlier round of the run had."""
+        emitted = []
+
+        gradients = models._gradients
+
+        def counted(*args):
+            emitted.append(args)
+            return gradients(*args)
+
+        monkeypatch.setattr(models, "_gradients", counted)
+        base = scenario_config(K=60, q=0.5, T=4, n_examples=1000, n_features=50, batch_size=4)
+        config = dataclasses.replace(base, model_kind="mlp_1hidden", hidden_units=64)
+        _, test, shards = build_scenario(config)
+        fed, spec = config.fed, config.model_spec
+        root = RngStream(fed.seed)
+        state = ServerState(round=0, w_global=models.init_params(spec, root.child("init")),
+                            ledger=PrivacyLedger(delta_dp=fed.delta_dp))
+        seen, blocks, new_per_round, bound = set(), 0, [], []
+        for t in range(fed.T):
+            sampled = sample_clients(fed.K, fed.q, root.child("sample", t))
+            spans = [(shards[c].start, shards[c].stop) for c in sampled]
+            keys = [(tuple(subgroups), (rows.start, rows.stop) if isinstance(rows, slice) else None)
+                    for rows, subgroups, *_ in models.schedule(spec, spans, fed.batch_size)[2]]
+            new = set(keys) - seen
+            seen |= new
+            blocks += len(keys)
+            before = len(emitted)
+            state, _ = run_round(state, shards, fed, spec, test, root)
+            assert len(emitted) - before == len(new)
+            new_per_round.append(len(new))
+            bound.append((state.plan, state.plan.X, state.plan.G, state.plan.work[0]))
+        assert all(all(a is b for a, b in zip(now, bound[0])) for now in bound)
+        assert len(state.plan.lists) == len(seen) < blocks
+        assert new_per_round[0] > 0 and sum(new_per_round[1:]) > 0
+
+
 class TestUpdateBuffer:
     @staticmethod
     def config():

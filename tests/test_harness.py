@@ -156,6 +156,34 @@ class TestCentralizedBaseline:
         w_cen, _ = centralized_baseline(cfg, train, test)
         assert np.array_equal(w_cen, w)
 
+    def test_one_call_list_per_block_key(self, monkeypatch):
+        """240 rows in minibatches of 32, T=4, epochs=2: 64 steps of one
+        plan, which emits two call lists (full steps and the 16-row tail),
+        shared by every step of their key."""
+        plans, emitted = [], []
+
+        class Spy(models.Plan):
+            def __init__(self, *args):
+                super().__init__(*args)
+                plans.append(self)
+
+        gradients = models._gradients
+
+        def counted(*args):
+            emitted.append(args)
+            return gradients(*args)
+
+        monkeypatch.setattr(models, "Plan", Spy)
+        monkeypatch.setattr(models, "_gradients", counted)
+        cfg = scenario_config(K=3, T=4, n_examples=300, epochs=2)
+        centralized_baseline(cfg, *build_scenario(cfg)[:2])
+        [plan] = plans
+        assert len(emitted) == len(plan.lists) == 2
+        assert len(plan.steps) == 8
+        full = plan.lists[((1, 32),), (0, 1)][-1]
+        tail = plan.lists[((1, 16),), (0, 1)][-1]
+        assert all(step[-1] is full for step in plan.steps[:7]) and plan.steps[7][-1] is tail
+
     def test_separable_data_high_accuracy(self):
         cfg = scenario_config(K=4, T=30, n_examples=1000, class_separation=10.0)
         _, cen_eval = centralized_baseline(cfg, *build_scenario(cfg)[:2])

@@ -174,14 +174,14 @@ class TestOneModelPath:
                              ids=["stack", "ragged", "three_subgroups"])
     def test_gradient_matches_block_rows(self, spec, counts):
         """One block of models, one minibatch each, in subgroups of equal row
-        count (a subgroup of one model as 2-D arrays): each model's gradient
-        is bit for bit its own."""
+        count (a subgroup of one model as 2-D arrays): running the block's
+        call list gives each model's gradient bit for bit, and so does
+        running it again on new parameters and minibatches written into the
+        arrays it was emitted for."""
         m, R = len(counts), sum(counts)
-        W = np.stack([models.init_params(spec, RngStream(k).child("w")) * 10
-                      for k in range(m)])
-        batches = [random_batch(spec, n=n, seed=k) for k, n in enumerate(counts)]
-        X = np.concatenate([b.features for b in batches])
-        y = np.concatenate([b.labels for b in batches])
+        W = np.empty((m, spec.param_dim))
+        X = np.empty((R, spec.n_features))
+        y = np.empty(R)
         G = np.empty_like(W)
         work = models._work(spec, (R,))
         groups, c, r = [], 0, 0
@@ -193,10 +193,18 @@ class TestOneModelPath:
                            tuple(models._stack(a[rows], g) for a in work),
                            models._unflatten(spec, models._models(G, c, g))))
             c, r = c + g, r + g * n
-        n = np.repeat(counts, counts).astype(float)[:, None]
-        models._gradients(spec, groups, y, counts[0] if len(set(counts)) == 1 else n, work)
-        for k in range(m):
-            assert np.array_equal(models.gradient(spec, W[k], batches[k]), G[k])
+        n = (np.float64(counts[0]) if len(set(counts)) == 1 else
+             np.repeat(counts, counts).astype(np.float64)[:, None])
+        ops = models._gradients(spec, groups, y, n, work)
+        for seed in (0, 1):
+            W[:] = [models.init_params(spec, RngStream(k).child("w", seed)) * 10
+                    for k in range(m)]
+            batches = [random_batch(spec, n=n, seed=seed * m + k) for k, n in enumerate(counts)]
+            X[:] = np.concatenate([b.features for b in batches])
+            y[:] = np.concatenate([b.labels for b in batches])
+            models._run(ops)
+            for k in range(m):
+                assert np.array_equal(models.gradient(spec, W[k], batches[k]), G[k])
 
 
 def finish_order(sizes, batch_size):
@@ -312,12 +320,19 @@ class TestSchedule:
         full, rest = sizes // bs, sizes % bs
         tail = int(np.count_nonzero(rest))
         assert len(set(rest[rest > 0].tolist())) >= 10 and tail > 1
-        plan = models.Plan(LOGREG, spans, bs, np.empty((len(spans), LOGREG.param_dim)))
+        plan = models.Plan(LOGREG, spans, bs, 0.1, np.empty((len(spans), LOGREG.param_dim)))
         rows = models.block_rows(LOGREG.param_dim)
         step_clients = [int(np.count_nonzero(full > s)) for s in range(full.max())]
         assert len(plan.steps) == sum(-(-c // rows) for c in step_clients) + -(-tail // rows)
         if budget is None:
             assert rows >= len(spans) and len(plan.steps) == full.max() + 1
+
+
+def max_cells(spec, shards, ids, batch_size):
+    """The rows of the largest block of these shards' schedule."""
+    blocks = models.schedule(spec, [(shards[i].start, shards[i].stop) for i in ids],
+                             batch_size)[2]
+    return max(cells.stop - cells.start for *_, cells in blocks)
 
 
 class TestTrainClients:
@@ -336,8 +351,8 @@ class TestTrainClients:
         """Train every shard's client, client i with RngStream(4)'s substreams
         of id i, as the rngs of the per-client loop are."""
         plan = models.Plan(spec, [(s.start, s.stop) for s in shards],
-                           TestTrainClients.BATCH_SIZE, W)
-        models.train_clients(spec, w0, shards[0].pool, plan, epochs, 0.1, RngStream(4),
+                           TestTrainClients.BATCH_SIZE, 0.1, W)
+        models.train_clients(w0, shards[0].pool, plan, epochs, RngStream(4),
                              list(range(len(shards))), finish)
 
     @pytest.mark.parametrize("spec", [LOGREG, SOFTMAX, MLP], ids=["binary", "softmax", "mlp"])
@@ -395,6 +410,33 @@ class TestTrainClients:
         for i, (row, shard) in enumerate(zip(W, shards)):
             assert np.array_equal(row, per_client_sgd(spec, w0, shard.batch, epochs, 0.1, bs,
                                                       RngStream(4).child("client", i)))
+
+    @pytest.mark.parametrize("spec", [LOGREG, SOFTMAX, MLP], ids=["binary", "softmax", "mlp"])
+    @pytest.mark.parametrize("first, then", [([0, 1, 2, 3], [4, 5, 6, 7]),
+                                             ([4, 5, 6, 7], [0, 1, 2, 3])])
+    def test_respanned_plan_matches_per_client_loop_bit_for_bit(self, spec, first, then):
+        """A plan given new spans keeps its buffers and call lists where they
+        fit and replaces them where the new blocks outgrow them: either way
+        every row trains as its client alone."""
+        shards = self.shards(spec)
+        bs = self.BATCH_SIZE
+        w0 = models.init_params(spec, RngStream(4).child("init"))
+        W = np.empty((4, spec.param_dim))
+        plan = models.Plan(spec, [(shards[i].start, shards[i].stop) for i in first], bs, 0.1, W)
+        cells = []
+        for ids in (first, then, first):
+            before = plan.cells, plan.lists
+            plan.set_spans([(shards[i].start, shards[i].stop) for i in ids])
+            assert (plan.lists is before[1]) == (plan.cells == before[0])
+            cells.append(plan.cells)
+            models.train_clients(w0, shards[0].pool, plan, 2, RngStream(4), ids)
+            for row, i in zip(W, ids):
+                assert np.array_equal(row, per_client_sgd(spec, w0, shards[i].batch, 2, 0.1, bs,
+                                                          RngStream(4).child("client", i)))
+        # the samples' largest blocks differ, so one order of them grows the
+        # buffers and the other keeps them; they never shrink
+        a, b = max_cells(spec, shards, first, bs), max_cells(spec, shards, then, bs)
+        assert a != b and cells == [a, max(a, b), max(a, b)]
 
     @pytest.mark.parametrize("small_groups", [False, True])
     def test_finish_runs_once_per_client_right_after_its_last_step(self, monkeypatch,
