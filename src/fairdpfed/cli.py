@@ -30,7 +30,7 @@ from .harness import (
     parse_config,
     preset_config,
     run_experiment,
-    run_sweep,
+    run_experiments,
 )
 
 
@@ -123,12 +123,16 @@ def _sweep_value(raw: str):
 def _cmd_sweep(args) -> int:
     base = _with_seed(_load_config(args.config), args.seed)
     out_root = Path(args.out or "runs/sweep")
+    raws = [raw.strip() for raw in args.values.split(",")]
+    values = [_sweep_value(raw) for raw in raws]
+    if len(set(values)) < len(values):
+        raise ConfigError(f"--values {args.values!r} gives some value of {args.param} twice")
     # every value passes the config file's checks before any run starts
-    configs = [(f"{args.param}={raw}", _with_fed(base, args.param, _sweep_value(raw)))
-               for raw in args.values.split(",")]
+    runs = [(out_root / f"{args.param}={raw}", _with_fed(base, args.param, value))
+            for raw, value in zip(raws, values)]
     with _allocations_of(base):
-        named = run_sweep(configs, args.param, out_root)
-    text, csv_text = compare_runs(named)
+        summaries = run_experiments(runs)
+    text, csv_text = compare_runs((out.name, s) for (out, _), s in zip(runs, summaries))
     if not args.quiet:
         print(text, end="")
     (out_root / "comparison.csv").write_text(csv_text)

@@ -4,8 +4,14 @@ A run directory contains exactly:
   config.echo  — the parsed config, serialized back out
   rounds.jsonl — one RoundRecord per line (stable schema, no timestamps)
   summary.json — RunSummary fields
-  timings.json — seconds per phase (not deterministic, unlike the rest)
+  timings.json — seconds per phase (not deterministic, unlike the rest);
+                 null for a phase that reused the previous run's result
   rounds.csv   — optional flat mirror of the round telemetry
+
+run_experiments runs a list of configs in turn. It builds a run's scenario
+again only when data, partition, bias, federation.K or federation.seed differ
+from the previous run's, and retrains its baseline only when data, model or
+federation.T, epochs, lr, batch_size or seed do.
 
 Config files are JSON with five sections (all keys optional except
 federation.K; unknown keys are rejected):
@@ -228,6 +234,11 @@ def preset_config(name: str) -> ExperimentConfig:
 
 # --- scenario construction and runs -----------------------------------------
 
+def _scenario_inputs(cfg: ExperimentConfig) -> tuple:
+    """The parts of cfg that build_scenario reads."""
+    return cfg.data, cfg.partition, cfg.bias, cfg.fed.K, cfg.fed.seed
+
+
 def build_scenario(cfg: ExperimentConfig):
     """Generate data, partition into shards, and inject the bias scenario."""
     root = RngStream(cfg.fed.seed)
@@ -240,6 +251,12 @@ def build_scenario(cfg: ExperimentConfig):
         shards[cid] = inject_bias(shards[cid], cfg.bias, root.child("bias", cid),
                                   cfg.data.n_classes)
     return train, test, shards
+
+
+def _baseline_inputs(cfg: ExperimentConfig) -> tuple:
+    """The parts of cfg that centralized_baseline reads; data and seed fix its train and test."""
+    fed = cfg.fed
+    return cfg.data, cfg.model_spec, fed.T, fed.epochs, fed.lr, fed.batch_size, fed.seed
 
 
 def centralized_baseline(cfg: ExperimentConfig, train: LabeledBatch, test: LabeledBatch):
@@ -274,86 +291,64 @@ def _timed(timings: dict, phase: str):
     timings[phase] = time.monotonic() - t0
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir, scenario=None,
-                   cen_eval=None, timings=None) -> RunSummary:
-    """Run the federation plus the centralized reference and write artifacts.
+def run_experiment(cfg: ExperimentConfig, out_dir) -> RunSummary:
+    """Run the federation plus the centralized reference and write artifacts
+    into out_dir: :func:`run_experiments` on one pair, so nothing is reused."""
+    return run_experiments([(out_dir, cfg)])[0]
 
-    ``scenario`` (what build_scenario returns) and ``cen_eval`` (the
-    baseline's test metrics) are computed here unless the caller passes them
-    from a config that gives the same ones (see :func:`run_sweep`).
-    ``timings`` holds the seconds the caller spent computing what it passes;
-    timings.json gives a phase that neither ran as null.
+
+def run_experiments(runs) -> list:
+    """Run each (out_dir, config) pair in turn; returns their RunSummary list.
+
+    Each run's phases are scenario, federation, baseline, write. A run reuses
+    the previous run's scenario when :func:`_scenario_inputs` gives the same
+    for both, and its baseline test metrics when :func:`_baseline_inputs`
+    does; timings.json gives a reused phase as null. Nothing older is kept.
     """
-    timings = dict.fromkeys(_PHASES) | (timings or {})
-    if scenario is None:
-        with _timed(timings, "scenario_s"):
-            scenario = build_scenario(cfg)
-    train, test, shards = scenario
-    spec = cfg.model_spec
-    with _timed(timings, "federation_s"):
-        _, records, ledger = run_training(cfg.fed, spec, shards, test)
-    if cen_eval is None:
-        with _timed(timings, "baseline_s"):
-            _, cen_eval = centralized_baseline(cfg, train, test)
-
-    last = records[-1]
-    groups = list(last.eval.per_group_accuracy.values())
-    summary = RunSummary(
-        A_Fed=last.eval.accuracy,
-        A_Cen=cen_eval.accuracy,
-        delta_acc=abs(last.eval.accuracy - cen_eval.accuracy),
-        per_group_gap=(max(groups) - min(groups)) if groups else 0.0,
-        eps_total_nominal=ledger.eps_total_basic,
-    )
-
-    out = Path(out_dir)
-    with _timed(timings, "write_s"):
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "config.echo").write_text(
-            json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n"
-        )
-        with open(out / "rounds.jsonl", "w") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
-        summary_doc = dict(asdict(summary), eps_caveat=EPS_CAVEAT)
-        (out / "summary.json").write_text(
-            json.dumps(summary_doc, indent=2, sort_keys=True) + "\n"
-        )
-        if cfg.emit_csv:
-            _write_rounds_csv(records, out / "rounds.csv")
-    timings["total_s"] = sum(v for v in timings.values() if v is not None)
-    (out / "timings.json").write_text(json.dumps(timings, indent=2) + "\n")
-    return summary
-
-
-# The federation keys build_scenario and centralized_baseline read. A sweep
-# over any other key shares one scenario, and one baseline, across its values.
-_SCENARIO_KEYS = frozenset({"K", "seed"})
-_BASELINE_KEYS = frozenset({"T", "epochs", "lr", "batch_size", "seed"})
-
-
-def run_sweep(configs, param: str, out_root) -> list:
-    """Run each (name, config) of a one-key federation sweep into out_root/name.
-
-    The configs differ only in federation.param. The scenario is built again
-    only when param is one of its inputs, and so is the baseline; otherwise
-    every run reuses the first run's, and its timings.json gives the reused
-    phase as null. Returns [(name, RunSummary)].
-    """
-    scenario = cen_eval = None
-    named = []
-    for name, cfg in configs:
-        timings = {}
-        if scenario is None or param in _SCENARIO_KEYS:
+    scenario_key = baseline_key = scenario = cen_eval = None
+    summaries = []
+    for out_dir, cfg in runs:
+        timings = dict.fromkeys(_PHASES)
+        if _scenario_inputs(cfg) != scenario_key:
+            scenario = None  # the previous run's arrays go before the next are built
             with _timed(timings, "scenario_s"):
                 scenario = build_scenario(cfg)
-        if cen_eval is None or param in _BASELINE_KEYS:
+            scenario_key = _scenario_inputs(cfg)
+        with _timed(timings, "federation_s"):
+            _, records, ledger = run_training(cfg.fed, cfg.model_spec, scenario[2], scenario[1])
+        if _baseline_inputs(cfg) != baseline_key:
             with _timed(timings, "baseline_s"):
                 _, cen_eval = centralized_baseline(cfg, *scenario[:2])
-        summary = run_experiment(cfg, Path(out_root) / name, scenario=scenario,
-                                 cen_eval=cen_eval, timings=timings)
-        named.append((name, summary))
-    return named
+            baseline_key = _baseline_inputs(cfg)
+
+        last = records[-1]
+        groups = list(last.eval.per_group_accuracy.values())
+        summary = RunSummary(
+            A_Fed=last.eval.accuracy,
+            A_Cen=cen_eval.accuracy,
+            delta_acc=abs(last.eval.accuracy - cen_eval.accuracy),
+            per_group_gap=(max(groups) - min(groups)) if groups else 0.0,
+            eps_total_nominal=ledger.eps_total_basic,
+        )
+        out = Path(out_dir)
+        with _timed(timings, "write_s"):
+            out.mkdir(parents=True, exist_ok=True)
+            (out / "config.echo").write_text(
+                json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n"
+            )
+            with open(out / "rounds.jsonl", "w") as fh:
+                for rec in records:
+                    fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
+            summary_doc = dict(asdict(summary), eps_caveat=EPS_CAVEAT)
+            (out / "summary.json").write_text(
+                json.dumps(summary_doc, indent=2, sort_keys=True) + "\n"
+            )
+            if cfg.emit_csv:
+                _write_rounds_csv(records, out / "rounds.csv")
+        timings["total_s"] = sum(v for v in timings.values() if v is not None)
+        (out / "timings.json").write_text(json.dumps(timings, indent=2) + "\n")
+        summaries.append(summary)
+    return summaries
 
 
 _CSV_COLUMNS = ["round", "S_used", "M_used", "noise_std", "eps_round",

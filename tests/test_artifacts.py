@@ -137,13 +137,31 @@ def _wide_resampled_config() -> dict:
     }
 
 
+def _many_block_config() -> dict:
+    """An MLP of 8,193 parameters (7 clients a block) over 64 IID clients of
+    12 or 13 rows, half of them sampled per round, each in one minibatch as in
+    the wide_server benchmark workload: the server norms, clips and averages
+    the sampled updates 7 rows at a time, and each round rebinds the plan to
+    the new sample's spans. Median-adaptive S falls below M = 0.08 in the last
+    round, so both thresholds bind, and six clients scale their updates."""
+    return {
+        "data": {"n_examples": 1000, "n_features": 30},
+        "model": {"kind": "mlp_1hidden", "hidden_units": 256},
+        "federation": {"K": 64, "q": 0.5, "T": 3, "S_policy": "median_adaptive",
+                       "M": 0.08, "sigma": 0.01, "seed": 2},
+        "bias": {"biased_client_ids": [0, 5, 9, 20, 33, 47], "mode": "update_scale",
+                 "factor": 25.0},
+    }
+
+
 @pytest.mark.parametrize("raw, sha256", [
     (_label_flip_config(), "ff889aaf8bfcbf276088e649104cb8447b413f8f52dc5ed8be073f860030ef01"),
     (_many_short_shards_config(),
      "1a0837dc5381e5bf06dad236672196ed6853505ab2b526f44f4ff0ab2fd17c14"),
     (_wide_resampled_config(),
      "1447e21b8db631ec97086b9f04fe4e70ad9d3826aa7870bac259d364d00ac0db"),
-], ids=["label_flip", "many_short_shards", "wide_resampled"])
+    (_many_block_config(), "15b65b2fd313828ec4fdf322fa6e03341d2123af6d2f7215bc05cb518a080189"),
+], ids=["label_flip", "many_short_shards", "wide_resampled", "many_block"])
 def test_config_rounds_bytes_pinned(tmp_path, raw, sha256):
     run_experiment(config_from_dict(raw), tmp_path)
     assert _sha256(tmp_path / "rounds.jsonl") == sha256

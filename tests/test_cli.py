@@ -237,6 +237,27 @@ class TestSweep:
         assert dirs == ["S_policy=fixed", "S_policy=median_adaptive", "comparison.csv"]
 
 
+    @pytest.mark.parametrize("param, values, dirs", [
+        ("S_policy", "fixed, median_adaptive", ["S_policy=fixed", "S_policy=median_adaptive"]),
+        ("M", " 0.1 , 0.2", ["M=0.1", "M=0.2"]),
+    ], ids=["strings", "numbers"])
+    def test_sweep_strips_spaces_around_values(self, tmp_path, param, values, dirs):
+        rc = main(["--quiet", "--out", str(tmp_path / "sweep"),
+                   "sweep", write_config(tmp_path, SMALL), "--param", param, "--values", values])
+        assert rc == 0
+        assert sorted(p.name for p in (tmp_path / "sweep").iterdir()) == dirs + ["comparison.csv"]
+        rows = (tmp_path / "sweep" / "comparison.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == dirs
+
+    @pytest.mark.parametrize("values", ["0.2,0.2", "0.2, 0.2", "1,1.0"])
+    def test_sweep_repeated_value_rejected_before_any_run(self, tmp_path, capsys, values):
+        rc = main(["--quiet", "--out", str(tmp_path / "sweep"),
+                   "sweep", write_config(tmp_path, SMALL), "--param", "M", "--values", values])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error:") and "twice" in err
+        assert not (tmp_path / "sweep").exists()
+
 def test_help_keeps_the_synopsis_lines(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["--help"])

@@ -3,13 +3,14 @@ import dataclasses
 import io
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from helpers_fed import BAD_VALUES, per_client_sgd, scenario_config
 
-from fairdpfed import models
+from fairdpfed import harness, models
 from fairdpfed.federation import run_training
 from fairdpfed.harness import (
     _SECTION_KEYS,
@@ -25,7 +26,7 @@ from fairdpfed.harness import (
     parse_config,
     preset_config,
     run_experiment,
-    run_sweep,
+    run_experiments,
 )
 from fairdpfed.numeric import RngStream
 
@@ -253,7 +254,7 @@ class TestRunExperiment:
         cfg = scenario_config(K=4, T=2, n_examples=200)
         configs = [(name, dataclasses.replace(cfg, fed=dataclasses.replace(cfg.fed, M=m)))
                    for name, m in (("first", 0.5), ("second", 1.0))]
-        run_sweep(configs, "M", tmp_path)
+        run_experiments([(tmp_path / name, c) for name, c in configs])
         first, second = (json.loads((tmp_path / name / "timings.json").read_text())
                          for name, _ in configs)
         assert first["scenario_s"] >= 0 and first["baseline_s"] >= 0
@@ -287,6 +288,79 @@ class TestRunExperiment:
         assert loaded == RunSummary(**{
             k: getattr(summary, k) for k in RunSummary.__dataclass_fields__
         })
+
+
+# one key changed between two runs -> (build_scenario, centralized_baseline) calls
+REUSE_CASES = {
+    "M": ({"M": 0.5}, 1, 1),
+    "K": ({"K": 5}, 2, 1),
+    "lr": ({"lr": 0.05}, 1, 2),
+    "seed": ({"seed": 1}, 2, 2),
+    "bias": ({"bias": {"biased_client_ids": [0], "mode": "update_scale", "factor": 25.0}},
+             2, 1),
+}
+
+
+class TestRunExperiments:
+    @staticmethod
+    def count_calls(monkeypatch) -> dict:
+        calls = {"build_scenario": 0, "centralized_baseline": 0}
+        for name in calls:
+            original = getattr(harness, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(harness, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("change, scenarios, baselines", REUSE_CASES.values(),
+                             ids=REUSE_CASES)
+    def test_reuse_follows_the_inputs_read(self, tmp_path, monkeypatch, change,
+                                           scenarios, baselines):
+        """A run rebuilds the scenario, or retrains the baseline, only when an
+        input that function reads differs from the previous run's; the reused
+        phase reads null in timings.json, and every run writes the bytes the
+        same config writes when run alone."""
+        common = dict(K=4, T=2, n_examples=200, S_policy="median_adaptive", sigma=0.5)
+        runs = [(tmp_path / "first", scenario_config(**common)),
+                (tmp_path / "second", scenario_config(**common | change))]
+        calls = self.count_calls(monkeypatch)
+        run_experiments(runs)
+        assert calls == {"build_scenario": scenarios, "centralized_baseline": baselines}
+        monkeypatch.undo()
+        first, second = (json.loads((out / "timings.json").read_text()) for out, _ in runs)
+        assert None not in first.values()
+        assert [phase for phase, s in second.items() if s is None] == (
+            ["scenario_s"] * (scenarios == 1) + ["baseline_s"] * (baselines == 1))
+        for out, cfg in runs:
+            run_experiment(cfg, tmp_path / "alone")
+            for name in ("rounds.jsonl", "summary.json"):
+                assert (out / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+
+    def test_keeps_only_the_previous_scenario(self, tmp_path, monkeypatch):
+        """While a run with other scenario inputs trains, nothing refers to the
+        training set, or the shards' pool, that an earlier run built."""
+        built, alive_in_training = [], []
+        build, train = harness.build_scenario, harness.run_training
+
+        def build_spy(cfg):
+            scenario = build(cfg)
+            pools = (scenario[0].features, scenario[2][0].pool.features)
+            built.append([weakref.ref(features) for features in pools])
+            return scenario
+
+        def train_spy(*args):
+            alive_in_training.append([any(ref() is not None for ref in refs) for refs in built])
+            return train(*args)
+
+        monkeypatch.setattr(harness, "build_scenario", build_spy)
+        monkeypatch.setattr(harness, "run_training", train_spy)
+        base = scenario_config(K=4, T=2, n_examples=200)
+        run_experiments([(tmp_path / str(seed), dataclasses.replace(
+            base, fed=dataclasses.replace(base.fed, seed=seed))) for seed in range(3)])
+        assert alive_in_training == [[True], [False, True], [False, False, True]]
 
 
 class TestCompareRuns:
