@@ -3,9 +3,9 @@
 The dual-threshold operator divides an update by max(1, ||d||/S, ||d||/M),
 where S bounds sensitivity for the privacy noise and M bounds suspiciously
 large (biased) updates. Algebraically this equals a single norm clip at
-min(S, M); the report records which threshold actually bound the update.
-The server applies it to a block of updates at a time: each row by its own
-factor, one report per row.
+min(S, M), and is computed as one, for a block of updates (each row by its
+own factor, one report per row) or a vector, a block of one row; the report
+records which threshold actually bound the update.
 """
 
 from __future__ import annotations
@@ -15,6 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numeric import ParamVector, l2_norm
+
+
+def _finite_norm(v: ParamVector):
+    """l2_norm of the vector or block v; raises unless every norm is finite."""
+    norm = l2_norm(v)
+    if not np.isfinite(norm).all():
+        raise ValueError("vector norm is not finite")
+    return norm
 
 
 @dataclass(frozen=True)
@@ -29,7 +37,7 @@ def clip_by_norm(v: ParamVector, c: float):
     if c <= 0:
         raise ValueError("norm threshold must be positive")
     v = np.asarray(v, dtype=np.float64)
-    n = l2_norm(v)
+    n = _finite_norm(v)
     if n <= c:
         return v, ClipReport(pre_norm=n, factor=1.0, clipped_by="none")
     factor = c / n
@@ -44,36 +52,29 @@ def dual_clip(delta: ParamVector, S: float, M: float, norm=None, out=None):
     finite float64 delta and skips the check. A clipped delta is written to
     ``out`` when given, else to a new array; an unclipped one is returned as is.
 
-    delta may also be a (k, P) block of rows, with norm then their norms (k,):
-    each row is divided by its own denominator, the same floats as the
-    vector's, and a list of k reports is returned. Without ``out`` every row
-    is written to a new array (an unclipped row times 1.0, which is the
-    row). With ``out`` only the clipped rows are written to it, each to its
-    own row: an unclipped row is its delta row, as an unclipped vector is
-    returned as is, and its row of ``out`` is left alone.
+    delta may also be a (k, P) block of rows, with norm then their norms
+    (k,), and a list of k reports is returned. Without ``out`` every row is
+    written to a new array (an unclipped row times 1.0, which is the row);
+    with ``out`` only the clipped rows are, each to its own row.
     """
     if S <= 0 or M <= 0:
         raise ValueError("thresholds S and M must be positive")
     if norm is None:
         delta = np.asarray(delta, dtype=np.float64)
-        norm = l2_norm(delta)
+        norm = _finite_norm(delta)
     branch = "dp_bound" if S <= M else "bias_bound"
-    if delta.ndim == 2:
-        norm = np.asarray(norm, dtype=np.float64)
-        # division rounds monotonically, so norm / min(S, M) is the larger
-        # of norm / S and norm / M, bit for bit
-        denom = np.maximum(norm / min(S, M), 1.0)
-        factor = 1.0 / denom
-        reports = list(map(ClipReport, norm.tolist(), factor.tolist(),
-                           np.where(denom == 1.0, "none", branch).tolist()))
-        if out is None:
-            return np.multiply(delta, factor[:, None]), reports
-        for i in np.flatnonzero(denom > 1.0).tolist():
-            np.multiply(delta[i], factor[i], out=out[i])
-        return out, reports
-    denom = max(1.0, norm / S, norm / M)
-    if denom == 1.0:
-        return delta, ClipReport(pre_norm=norm, factor=1.0, clipped_by="none")
+    # a vector is a block of one row; division rounds monotonically, so
+    # norm / min(S, M) is the larger of norm / S and norm / M, bit for bit
+    norms = np.asarray(norm, dtype=np.float64).reshape(-1)
+    denom = np.maximum(norms / min(S, M), 1.0)
     factor = 1.0 / denom
-    return (np.multiply(delta, factor, out=out),
-            ClipReport(pre_norm=norm, factor=factor, clipped_by=branch))
+    reports = list(map(ClipReport, norms.tolist(), factor.tolist(),
+                       np.where(denom == 1.0, "none", branch).tolist()))
+    if delta.ndim == 1:
+        clipped = delta if denom[0] == 1.0 else np.multiply(delta, factor[0], out=out)
+        return clipped, reports[0]
+    if out is None:
+        return np.multiply(delta, factor[:, None]), reports
+    for i in np.flatnonzero(denom > 1.0).tolist():
+        np.multiply(delta[i], factor[i], out=out[i])
+    return out, reports

@@ -2,12 +2,12 @@
 
 Labels follow a planted logistic ground truth whose margin is controlled by
 ``class_separation``; a sensitive group attribute is attached per example with
-tunable feature-group correlation. Partitioning is IID shuffle-split or
-Dirichlet label skew, and takes the training set once, in client order, into
-one pool whose row ranges are the shards. Bias is injected either at the
-data level (group-targeted label flipping, written into the pool) or at the
-update level (a multiplicative tag applied by the server loop at
-transmission time).
+tunable feature-group correlation. Partitioning (IID shuffle-split or
+Dirichlet label skew) gives each training row a client, and one sort by
+client takes the training set into one pool whose row ranges are the
+shards. Bias is injected either at the data level (group-targeted label
+flipping, written into the pool) or at the update level (a multiplicative
+tag applied by the server loop at transmission time).
 """
 
 from __future__ import annotations
@@ -135,36 +135,40 @@ def generate(spec: DataSpec, rng: RngStream):
 
 
 def partition(train: LabeledBatch, K: int, scheme: PartitionScheme, rng: RngStream):
-    """Split train into K disjoint client shards covering every example."""
+    """Split train into K disjoint client shards covering every example, each
+    a span of the pool of the rows by client, then by row."""
     n = len(train)
     if K > n:
         raise ValueError(
             f"cannot partition {n} training examples across federation.K={K} clients")
     g = rng.generator()
     if scheme.kind == "iid":
-        idx_lists = np.array_split(g.permutation(n), K)
+        # consecutive chunks of a permutation, the first n % K one row longer
+        rows = g.permutation(n)
+        owner = np.repeat(np.arange(K), n // K + (np.arange(K) < n % K))
     else:
-        idx_lists = _dirichlet_split(train.labels, K, scheme.alpha, g)
-    idx_lists = [np.sort(idx) for idx in idx_lists]
-    pool = train.take(np.concatenate(idx_lists))
-    stops = np.cumsum([len(idx) for idx in idx_lists]).tolist()
-    return [ClientShard(pool, stop - len(idx), stop) for idx, stop in zip(idx_lists, stops)]
+        rows, owner = _dirichlet_split(train.labels, K, scheme.alpha, g)
+    pool = train.take(rows[np.lexsort((rows, owner))])
+    stops = np.cumsum(np.bincount(owner, minlength=K)).tolist()
+    return [ClientShard(pool, start, stop) for start, stop in zip([0] + stops[:-1], stops)]
 
 
 def _dirichlet_split(labels: np.ndarray, K: int, alpha: float, g: np.random.Generator):
-    """Per-class client proportions from Dirichlet(alpha); resample until every
-    client has at least one example."""
+    """Per-class client proportions from Dirichlet(alpha): the training rows
+    and the client of each row. Resample until every client has a row."""
     classes = np.unique(labels)
     for _ in range(1000):
-        parts = [[] for _ in range(K)]
+        rows, owner = [], []
         for c in classes:
             idx_c = g.permutation(np.flatnonzero(labels == c))
             props = g.dirichlet(np.full(K, alpha))
             cuts = (np.cumsum(props)[:-1] * len(idx_c)).astype(int)
-            for k, chunk in enumerate(np.split(idx_c, cuts)):
-                parts[k].extend(chunk.tolist())
-        if all(len(p) >= 1 for p in parts):
-            return [np.asarray(p, dtype=np.int64) for p in parts]
+            rows.append(idx_c)
+            # client k takes the positions i with cuts[k - 1] <= i < cuts[k]
+            owner.append(np.searchsorted(cuts, np.arange(len(idx_c)), side="right"))
+        owner = np.concatenate(owner)
+        if np.bincount(owner, minlength=K).all():
+            return np.concatenate(rows), owner
     raise ValueError(
         f"a Dirichlet split with partition.alpha={alpha} left some of the "
         f"federation.K={K} clients without data in 1000 draws; raise alpha or lower K")

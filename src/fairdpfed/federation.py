@@ -7,39 +7,40 @@ the dual-threshold clip per client, averages, and adds Gaussian noise. All
 client work inside a round is a pure function of (global weights, shard,
 substream), so rounds are reproducible.
 
-The server holds m_t * P * 8 bytes of updates once per run: one (m_t, P)
-float64 matrix, reused every round. models.train_clients trains the sampled
-clients together, client i in row i, on their row spans of the scenario's
-shard pool, in the blocks of models.schedule: each full step is a block,
-and the short last minibatches run after them as ragged blocks of at most
-models.block_rows(P) clients; clients whose minibatches have the same row
-count run as one stacked matmul per product, and the rows are updated in
-place. The run's models.Plan binds those blocks to the matrix (minibatch
-buffers, work arrays, each block's call list) and is kept in the server
-state; it lives and dies with the run, as the matrix does. When the sampled
-spans change (q < 1), it rebuilds only the schedule, the spans and the
-order, and emits call lists only for block keys the run has not met.
-train_clients is the program's one SGD loop: harness.centralized_baseline
-trains through it too, as one client on the whole training set, with a
-one-row plan bound once per call. Each epoch the sampled clients' shuffles
-are drawn in one call from the round stream and their ids. The result is
-bit-identical to training each client on its own. A block's finished rows
-are finished at once, right after its step, while they are still in cache:
-they become the clients' transmitted differences (minus the global model,
-times any update bias), and l2_norm takes their norms, each update's one
-finiteness check, in one call. The server then clips the rows a block of
-the same row budget at a time, dual_clip clipping each block, and adds them
-to a running total in sampled order, by one reduction when one block holds
-the round: one read of the matrix. Over several blocks, only the rows that
-clip are scaled; the others are added straight from the matrix.
-When every client is sampled nothing is drawn. Evaluation reads the test
-set's group index, worked out once.
+A round samples m_t = sample_size(K, q) clients. The server holds m_t * P * 8
+bytes of updates once per run: one (m_t, P) float64 matrix, reused every
+round. models.train_clients trains the sampled clients together, client i in
+row i, on their row spans of the scenario's shard pool, in the blocks of
+models.schedule: each full step is a block, and the short last minibatches
+run after them as ragged blocks of at most models.block_rows(P) clients;
+clients whose minibatches have the same row count run as one stacked matmul
+per product, and the rows are updated in place. The run's models.Plan binds
+those blocks to the matrix (minibatch buffers, work arrays, each block's call
+list) and is kept in the server state; it lives and dies with the run, as the
+matrix does. When the sampled spans change (q < 1), it rebuilds only the
+schedule, the spans and the order, and emits call lists only for block keys
+the run has not met. train_clients is the program's one SGD loop:
+harness.centralized_baseline trains through it too, as one client on the
+whole training set, with a one-row plan bound once per call. Each epoch the
+sampled clients' shuffles are drawn in one call from the round stream and
+their ids. The result is bit-identical to training each client on its own. A
+block's finished rows are finished at once, right after its step, while they
+are still in cache: they become the clients' transmitted differences (minus
+the global model, times any update bias), and l2_norm takes their norms in
+one call, which are checked finite once, after training. The server then
+clips the rows a block of the same row budget at a time, dual_clip clipping
+each block, and adds them to a running total in sampled order, by one
+reduction when one block holds the round: one read of the matrix. Over
+several blocks, only the rows that clip are scaled; the others are added as
+they are. When every client is sampled nothing is drawn. Evaluation reads the
+test set's group index, worked out once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -105,7 +106,7 @@ class FedConfig:
 
     @property
     def m_t(self) -> int:
-        return math.ceil(self.q * self.K)
+        return sample_size(self.K, self.q)
 
 
 @dataclass
@@ -155,11 +156,17 @@ class ServerState:
     plan: models.Plan = None  # bound to updates for the run, given each round's spans
 
 
+def sample_size(K: int, q: float) -> int:
+    """ceil(q * K) of q as the decimal it is written in: 7 for 0.07 of 100,
+    where the float product 7.000000000000001 rounds up to 8."""
+    return math.ceil(Fraction(str(q)) * K)
+
+
 def sample_clients(K: int, q: float, rng: RngStream) -> list:
-    """Uniform sample without replacement of size ceil(q*K), sorted ascending.
-    A sample of all K clients is every client: nothing is drawn, and rng's
-    stream feeds nothing else."""
-    m = math.ceil(q * K)
+    """Uniform sample without replacement of sample_size(K, q) clients,
+    sorted ascending. A sample of all K clients is every client: nothing is
+    drawn, and rng's stream feeds nothing else."""
+    m = sample_size(K, q)
     if m == K:
         return list(range(K))
     ids = rng.generator().choice(K, size=m, replace=False)
@@ -167,8 +174,8 @@ def sample_clients(K: int, q: float, rng: RngStream) -> list:
 
 
 def adaptive_S(update_norms) -> float:
-    """Median of the round's unclipped update norms (finite, as l2_norm
-    checked each, and at least one), floored away from zero."""
+    """Median of the round's unclipped update norms (finite, as run_round
+    checked, and at least one), floored away from zero."""
     return max(float(np.median(update_norms)), S_FLOOR)
 
 
@@ -182,24 +189,21 @@ def update_factors(tags) -> np.ndarray:
 def aggregate_round(D: np.ndarray, config: FedConfig, norms):
     """Pick S, dual-clip each update, and average with 1/m_t.
 
-    ``D`` is the round's (m_t, P) float64 update matrix; it is left
-    unchanged. ``norms`` are its rows' norms, which l2_norm took (and so
-    checked the rows finite). dual_clip clips the rows a block of
-    models.block_rows(P) at a time, each times its factor (1.0 leaves a row
-    as it is), and the clipped rows are added to a total from 0.0 in sampled
-    order. When one block holds every row, one reduction over the block's
-    first axis adds them: it starts from 0.0 and adds the rows of a
-    C-contiguous matrix in order. Otherwise dual_clip writes each block's
-    clipped rows into one buffer, and the rows are added to the running
-    total in place: a clipped row from the buffer, an unclipped one (factor
-    1.0) straight from D. Either way the average is bit-identical to summing
-    the clipped matrix.
+    ``D`` is the round's (m_t, P) float64 update matrix, left unchanged, and
+    ``norms`` are its rows' finite norms. dual_clip clips the rows a block of
+    models.block_rows(P) at a time, each times its factor, and the clipped
+    rows are added to a total from 0.0 in sampled order. When one block
+    holds every row, one reduction over the block's first axis adds them: it
+    starts from 0.0 and adds the rows of a C-contiguous matrix in order.
+    Otherwise dual_clip writes each block's clipped rows into one buffer, and
+    the rows are added to the running total in place: a clipped row from the
+    buffer, an unclipped one (factor 1.0) straight from D. Either way the
+    average is bit-identical to summing the clipped matrix.
     Returns (averaged update, S_used, list of ClipReport).
     """
     S = adaptive_S(norms) if config.S_policy == "median_adaptive" else config.S_fixed
     m, P = D.shape
     rows = models.block_rows(P)
-    norms = np.asarray(norms, dtype=np.float64)
     if m <= rows:
         clipped, reports = dual_clip(D, S, config.M, norm=norms)
         return np.add.reduce(clipped, axis=0, initial=0.0) / m, S, reports
@@ -229,7 +233,7 @@ def run_round(
     if state.updates is None:
         state.updates = np.empty((len(sampled), spec.param_dim))
     D = state.updates
-    norms = np.full(len(sampled), np.nan)  # NaN: a block held a non-finite update
+    norms = np.empty(len(sampled))
     factors = update_factors([shards[cid].bias_tag for cid in sampled])
 
     def finish(rows, B):
@@ -239,10 +243,7 @@ def run_round(
         scale = factors[rows]
         if (scale != 1.0).any():
             B *= scale[:, None]
-        try:
-            norms[rows] = l2_norm(B)
-        except ValueError:
-            pass
+        norms[rows] = l2_norm(B)
 
     spans = [(shards[cid].start, shards[cid].stop) for cid in sampled]
     if state.plan is None:
@@ -251,11 +252,9 @@ def run_round(
         state.plan.set_spans(spans)
     models.train_clients(state.w_global, shards[0].pool, state.plan, config.epochs,
                          round_stream, sampled, finish)
-    if np.isnan(norms).any():  # name the first sampled client whose update is not finite
-        with np.errstate(over="ignore"):
-            finite = [math.isfinite(row.dot(row)) for row in D]
-        raise SimulationError(
-            f"non-finite update from client {sampled[finite.index(False)]} in round {t}")
+    bad = np.flatnonzero(~np.isfinite(norms))  # in sampled order
+    if len(bad):
+        raise SimulationError(f"non-finite update from client {sampled[bad[0]]} in round {t}")
 
     avg, S_used, reports = aggregate_round(D, config, norms)
     noise_std = config.sigma * S_used

@@ -1,17 +1,18 @@
 """Deterministic numeric kernels: flat vectors, norms, seeded substreams.
 
-All randomness in the simulator flows through :class:`RngStream`, an immutable
-handle over a counter-based generator (Philox). Substreams are derived by
-label/index paths, so draws from disjoint paths can never perturb each
-other's sequences. :func:`shuffle_clients` shuffles a round's client index
-buffers in place, each bit-identical to its client's own substream, with
-every client's Philox key derived in one vectorized pass.
+:func:`l2_norm` is the one norm formula, of a block or a lone vector; its
+callers decide what a non-finite norm means. All randomness in the simulator
+flows through :class:`RngStream`, an immutable handle over a counter-based
+generator (Philox). Substreams are derived by label/index paths, so draws
+from disjoint paths can never perturb each other's sequences.
+:func:`shuffle_clients` shuffles a round's client index buffers in place,
+each bit-identical to its client's own substream, with every client's Philox
+key derived in one vectorized pass.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import zlib
 from dataclasses import dataclass, fields
 
@@ -23,26 +24,20 @@ ParamVector = np.ndarray
 
 
 def l2_norm(v: ParamVector):
-    """Euclidean norm of a non-empty 1-D float64 vector, or the norms (k,) of
-    the rows of a non-empty (k, P) block; raises unless every one is finite.
+    """The norms (k,) of the rows of a non-empty (k, P) float64 block, or the
+    norm of a non-empty 1-D vector, a block of one row, as a float.
 
-    sqrt(v . v) is what np.linalg.norm computes for such a vector, and its one
-    scan is the finiteness check: a non-finite entry, or a sum of squares
-    that overflows, makes it non-finite. A block's rows are dotted by one
-    stacked matmul of (k, 1, P) by (k, P, 1), whose every slice calls the dot
-    product v.dot(v) calls, so each row's norm is bit for bit its vector's.
+    The rows are dotted by one stacked matmul of (k, 1, P) by (k, P, 1),
+    whose every slice calls the dot product v.dot(v) calls, and sqrt(v . v)
+    is what np.linalg.norm computes for such a vector. A non-finite entry, or
+    a sum of squares that overflows, gives a non-finite norm; the caller
+    decides what that means.
     """
     if v.ndim not in (1, 2) or v.size == 0:
         raise ValueError(f"l2_norm needs a non-empty vector or block, got shape {v.shape}")
-    if v.ndim == 1:
-        norm = math.sqrt(v.dot(v))
-        if not math.isfinite(norm):
-            raise ValueError("vector norm is not finite")
-        return norm
-    norms = np.sqrt(np.matmul(v[:, None, :], v[:, :, None]).reshape(len(v)))
-    if not np.isfinite(norms).all():
-        raise ValueError("vector norm is not finite")
-    return norms
+    B = v.reshape(-1, v.shape[-1])
+    norms = np.sqrt(np.matmul(B[:, None, :], B[:, :, None]).reshape(len(B)))
+    return float(norms[0]) if v.ndim == 1 else norms
 
 
 # what a dataclass field of each annotation holds, and what to call it

@@ -73,6 +73,30 @@ def one_row_train_clients(spec, w0, batch, epochs, lr, batch_size, rng, cid):
     return W[0]
 
 
+def per_client_lists_partition(train, K, scheme, rng):
+    """The pool rows and the shard spans of datagen.partition, assembled the
+    way it once did: a Python list of rows per client, each sorted, then
+    concatenated. Draws what partition draws, in the same order."""
+    g = rng.generator()
+    if scheme.kind == "iid":
+        idx_lists = np.array_split(g.permutation(len(train)), K)
+    else:
+        for _ in range(1000):
+            parts = [[] for _ in range(K)]
+            for c in np.unique(train.labels):
+                idx_c = g.permutation(np.flatnonzero(train.labels == c))
+                props = g.dirichlet(np.full(K, scheme.alpha))
+                cuts = (np.cumsum(props)[:-1] * len(idx_c)).astype(int)
+                for k, chunk in enumerate(np.split(idx_c, cuts)):
+                    parts[k].extend(chunk.tolist())
+            if all(parts):
+                break
+        idx_lists = [np.asarray(p, dtype=np.int64) for p in parts]
+    idx_lists = [np.sort(idx) for idx in idx_lists]
+    stops = np.cumsum([len(idx) for idx in idx_lists]).tolist()
+    return np.concatenate(idx_lists), list(zip([0] + stops[:-1], stops))
+
+
 def fedavg_reference(config, spec, shards):
     """Plain FedAvg written independently of the aggregation under test:
     no clipping, no noise, straight mean of transmitted differences."""

@@ -111,3 +111,27 @@ class TestDualClipBlock:
                 assert got.tobytes() == want.tobytes()
         assert {r.clipped_by for r in reports} >= {"none"}
         assert {r.clipped_by for r in reports} != {"none"}
+
+
+class TestNonFiniteNormRejected:
+    """The clips that take a norm themselves reject a non-finite one: a NaN
+    entry, or a sum of squares that overflows."""
+
+    CLIPS = {"clip_by_norm": lambda v: clip_by_norm(v, 1.0),
+             "dual_clip": lambda v: dual_clip(v, S=1.0, M=2.0)}
+
+    @pytest.mark.parametrize("clip", CLIPS)
+    def test_nonfinite_rejected(self, clip):
+        with pytest.raises(ValueError, match="not finite"):
+            self.CLIPS[clip](np.array([1.0, np.nan]))
+
+    @pytest.mark.parametrize("clip", CLIPS)
+    def test_overflowing_sum_of_squares_rejected(self, clip):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
+            self.CLIPS[clip](np.array([1e200, 1e200]))
+
+    def test_block_with_a_nonfinite_row_rejected(self):
+        B = np.ones((3, 4))
+        B[1, 2] = np.nan
+        with pytest.raises(ValueError, match="not finite"):
+            dual_clip(B, S=1.0, M=2.0)

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers_fed import one_row_train_clients
+from helpers_fed import one_row_train_clients, per_client_lists_partition
 
 from fairdpfed import models
 from fairdpfed.datagen import (
@@ -130,6 +130,43 @@ class TestPartition:
         skewed = np.mean([mean_tv(0.1, s) for s in seeds])
         uniform = np.mean([mean_tv(100.0, s) for s in seeds])
         assert skewed > uniform
+
+
+class TestPartitionMatchesPerClientLists:
+    """partition's one lexsort gives the pool and spans that sorting a list
+    of rows per client gave."""
+
+    @pytest.mark.parametrize("K, n, scheme", [
+        (1, 100, PartitionScheme(kind="iid")),
+        (7, 500, PartitionScheme(kind="iid")),
+        (100, 20_000, PartitionScheme(kind="iid")),
+        (9, 500, PartitionScheme(kind="dirichlet_label_skew", alpha=0.5)),
+        (100, 20_000, PartitionScheme(kind="dirichlet_label_skew", alpha=0.5)),
+        (50, 2_000, PartitionScheme(kind="dirichlet_label_skew", alpha=0.3)),
+    ], ids=["iid-1", "iid-7", "iid-100", "dirichlet-9", "dirichlet-100", "dirichlet-50-redraws"])
+    @pytest.mark.parametrize("seed", [0, 1, 31])
+    def test_pool_bytes_and_spans(self, K, n, scheme, seed):
+        train, shards = make_shards(K=K, n=n, seed=seed, scheme=scheme)
+        rows, spans = per_client_lists_partition(train, K, scheme,
+                                                 RngStream(seed).child("part"))
+        want = train.take(rows)
+        pool = shards[0].pool
+        for name in ("features", "labels", "groups"):
+            assert getattr(pool, name).tobytes() == getattr(want, name).tobytes()
+        assert [(s.start, s.stop) for s in shards] == spans
+
+    @pytest.mark.parametrize("seed", [0, 1, 31])
+    def test_dirichlet_case_redraws(self, seed):
+        """alpha 0.3 over 50 clients of 1,600 rows leaves some client empty
+        on the first draw, so the comparison above covers the redraw loop."""
+        train, _ = make_shards(K=1, n=2_000, seed=seed)
+        g = RngStream(seed).child("part").generator()
+        sizes = np.zeros(50, dtype=int)
+        for c in np.unique(train.labels):
+            idx_c = g.permutation(np.flatnonzero(train.labels == c))
+            cuts = (np.cumsum(g.dirichlet(np.full(50, 0.3)))[:-1] * len(idx_c)).astype(int)
+            sizes += [len(chunk) for chunk in np.split(idx_c, cuts)]
+        assert not sizes.all()
 
 
 class TestInjectBias:

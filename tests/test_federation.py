@@ -21,16 +21,17 @@ from fairdpfed.federation import (
     run_round,
     run_training,
     sample_clients,
+    sample_size,
     update_factors,
 )
 from fairdpfed.harness import build_scenario
 from fairdpfed.numeric import RngStream, l2_norm
-from fairdpfed.privacy import PrivacyLedger
+from fairdpfed.privacy import PrivacyLedger, epsilon_per_round
 
 
 def drawn_sample(K, q, rng):
     """sample_clients' draw, made whatever the sample's size."""
-    ids = rng.generator().choice(K, size=math.ceil(q * K), replace=False)
+    ids = rng.generator().choice(K, size=sample_size(K, q), replace=False)
     return sorted(int(i) for i in ids)
 
 
@@ -58,6 +59,21 @@ class TestSampleClients:
         a = sample_clients(20, 0.4, RngStream(2).child("s", 5))
         b = sample_clients(20, 0.4, RngStream(2).child("s", 5))
         assert a == b
+
+    # q * K in floats lands just above the integer the decimal q gives, e.g.
+    # 0.07 * 100 == 7.000000000000001, whose ceiling would be 8
+    @pytest.mark.parametrize("K, q, m", [
+        (100, 0.07, 7), (100, 0.14, 14), (100, 0.28, 28), (100, 0.55, 55),
+        (100, 0.56, 56), (50, 0.14, 7), (50, 0.28, 14), (50, 0.56, 28)])
+    def test_size_is_the_ceiling_of_the_decimal_q(self, K, q, m):
+        assert math.ceil(q * K) == m + 1
+        config = scenario_config(K=K, q=q, T=1, n_examples=2 * K, sigma=0.5)
+        assert config.fed.m_t == m
+        assert len(sample_clients(K, q, RngStream(3).child("sample", 0))) == m
+        train, test, shards = build_scenario(config)
+        _, (record,), _ = run_training(config.fed, config.model_spec, shards, test)
+        assert len(record.sampled_clients) == len(record.per_client) == m
+        assert record.eps_round == epsilon_per_round(0.5, 1e-5, m)
 
 
 class TestAdaptiveS:

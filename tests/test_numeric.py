@@ -28,14 +28,6 @@ class TestL2Norm:
         with pytest.raises(ValueError):
             l2_norm(np.array([]))
 
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            l2_norm(np.array([1.0, np.nan]))
-
-    def test_overflowing_sum_of_squares_rejected(self):
-        with np.errstate(over="ignore"), pytest.raises(ValueError):
-            l2_norm(np.array([1e200, 1e200]))
-
     def test_bit_identical_to_linalg_norm(self):
         v = np.random.default_rng(5).normal(size=30_000) * 1e-3
         assert l2_norm(v) == float(np.linalg.norm(v))
@@ -50,13 +42,19 @@ class TestL2Norm:
         assert norms.shape == (5,)
         assert norms.tolist() == [l2_norm(row) for row in B]
 
-    def test_block_with_a_nonfinite_row_rejected(self):
-        B = np.ones((3, 4))
-        B[1, 2] = np.inf
-        with pytest.raises(ValueError):
-            l2_norm(B)
-        with np.errstate(over="ignore"), pytest.raises(ValueError):
-            l2_norm(np.array([[1.0, 2.0], [1e200, 1e200]]))
+    @pytest.mark.parametrize("bad, want", [(np.nan, np.isnan), (np.inf, np.isposinf),
+                                           (1e200, np.isposinf)])
+    def test_block_with_a_nonfinite_row_gets_its_own_nonfinite_norm(self, bad, want):
+        """A NaN or infinite entry, or a sum of squares that overflows, makes
+        its row's norm non-finite and leaves the other rows' norms alone;
+        l2_norm itself raises nothing."""
+        B = np.random.default_rng(2).normal(size=(3, 4))
+        ok = l2_norm(B)
+        B[1, 2] = bad
+        with np.errstate(over="ignore"):
+            norms = l2_norm(B)
+        assert want(norms[1])
+        assert norms[[0, 2]].tolist() == ok[[0, 2]].tolist()
 
     @given(st.floats(-1e6, 1e6), st.integers(1, 50), st.integers(0, 2**32 - 1))
     def test_absolute_homogeneity(self, a, dim, seed):
