@@ -22,18 +22,19 @@ schedule, the spans and the order, and emits call lists only for block keys
 the run has not met. train_clients is the program's one SGD loop:
 harness.centralized_baseline trains through it too, as one client on the
 whole training set, with a one-row plan bound once per call. Each epoch the
-sampled clients' shuffles are drawn in one call from the round stream and
-their ids. The result is bit-identical to training each client on its own. A
-block's finished rows are finished at once, right after its step, while they
-are still in cache: they become the clients' transmitted differences (minus
-the global model, times any update bias), and l2_norm takes their norms in
-one call, which are checked finite once, after training. The server then
-clips the rows a block of the same row budget at a time, dual_clip clipping
-each block, and adds them to a running total in sampled order, by one
-reduction when one block holds the round: one read of the matrix. Over
-several blocks, only the rows that clip are scaled; the others are added as
-they are. When every client is sampled nothing is drawn. Evaluation reads the
-test set's group index, worked out once.
+sampled clients' shuffles are drawn in one call: the round stream's key words
+are hashed once, then each client's id (one 32-bit word, as K < 2**32) and
+the epoch are mixed in. The result is bit-identical to training each client
+on its own. A block's finished rows are finished at once, right after its
+step, while they are still in cache: they become the clients' transmitted
+differences (minus the global model, times any update bias), and l2_norm
+takes their norms in one call, which are checked finite once, after
+training. The server then clips the rows a block of the same row budget at
+a time, dual_clip clipping each block, and adds them to a running total in
+sampled order, by one reduction when one block holds the round: one read of
+the matrix. Over several blocks, only the rows that clip are scaled; the
+others are added as they are. When every client is sampled nothing is
+drawn. Evaluation reads the test set's group index, worked out once.
 """
 
 from __future__ import annotations
@@ -77,6 +78,8 @@ class FedConfig:
         check_types(self)
         if self.K < 1:
             raise ValueError("K must be >= 1")
+        if self.K >= 2**32:  # a client id is one 32-bit word of its substream's key
+            raise ValueError(f"K must be < 2**32, got {self.K}")
         if self.T < 1:
             raise ValueError("T must be >= 1")
         if self.epochs < 1:
@@ -230,9 +233,6 @@ def run_round(
     t = state.round
     sampled = sample_clients(config.K, config.q, root.child("sample", t))
     round_stream = root.child("round", t)
-    if state.updates is None:
-        state.updates = np.empty((len(sampled), spec.param_dim))
-    D = state.updates
     norms = np.empty(len(sampled))
     factors = update_factors([shards[cid].bias_tag for cid in sampled])
 
@@ -246,8 +246,9 @@ def run_round(
         norms[rows] = l2_norm(B)
 
     spans = [(shards[cid].start, shards[cid].stop) for cid in sampled]
-    if state.plan is None:
-        state.plan = models.Plan(spec, spans, config.batch_size, config.lr, D)
+    if state.plan is None:  # the run's first round
+        state.updates = np.empty((len(sampled), spec.param_dim))
+        state.plan = models.Plan(spec, spans, config.batch_size, config.lr, state.updates)
     else:  # keeps the run's buffers and call lists
         state.plan.set_spans(spans)
     models.train_clients(state.w_global, shards[0].pool, state.plan, config.epochs,
@@ -256,7 +257,7 @@ def run_round(
     if len(bad):
         raise SimulationError(f"non-finite update from client {sampled[bad[0]]} in round {t}")
 
-    avg, S_used, reports = aggregate_round(D, config, norms)
+    avg, S_used, reports = aggregate_round(state.updates, config, norms)
     noise_std = config.sigma * S_used
     noisy = add_noise(avg, S_used, config.sigma, root.child("noise", t))
     w_next = state.w_global + noisy

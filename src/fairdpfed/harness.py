@@ -3,7 +3,7 @@
 A run directory contains exactly:
   config.echo  — the parsed config, serialized back out
   rounds.jsonl — one RoundRecord per line (stable schema, no timestamps)
-  summary.json — RunSummary fields
+  summary.json — RunSummary fields, an infinite one as "inf" (strict JSON)
   timings.json — seconds per phase (not deterministic, unlike the rest);
                  null for a phase that reused the previous run's result
   rounds.csv   — optional flat mirror of the round telemetry
@@ -339,7 +339,9 @@ def run_experiments(runs) -> list:
             with open(out / "rounds.jsonl", "w") as fh:
                 for rec in records:
                     fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
-            summary_doc = dict(asdict(summary), eps_caveat=EPS_CAVEAT)
+            # an infinite ε (no noise) is written "inf", as config.echo writes M
+            summary_doc = {k: "inf" if v == math.inf else v for k, v in asdict(summary).items()}
+            summary_doc["eps_caveat"] = EPS_CAVEAT
             (out / "summary.json").write_text(
                 json.dumps(summary_doc, indent=2, sort_keys=True) + "\n"
             )
@@ -372,7 +374,8 @@ def load_summary(run_dir) -> RunSummary:
     path = Path(run_dir) / "summary.json"
     doc = _read_object(path)
     try:
-        summary = RunSummary(**{k: doc[k] for k in RunSummary.__dataclass_fields__})
+        summary = RunSummary(**{k: math.inf if doc[k] == "inf" else doc[k]
+                                for k in RunSummary.__dataclass_fields__})
         check_types(summary)
     except KeyError as exc:
         raise ConfigError(f"{path}: missing key {exc.args[0]}") from exc

@@ -6,8 +6,9 @@ flows through :class:`RngStream`, an immutable handle over a counter-based
 generator (Philox). Substreams are derived by label/index paths, so draws
 from disjoint paths can never perturb each other's sequences.
 :func:`shuffle_clients` shuffles a round's client index buffers in place,
-each bit-identical to its client's own substream, with every client's Philox
-key derived in one vectorized pass.
+each bit-identical to its client's own substream: the key words the clients
+share are hashed once, and each client's id word and the epoch are mixed in,
+all clients in one vectorized pass.
 """
 
 from __future__ import annotations
@@ -95,11 +96,12 @@ def _label_word(label: str) -> int:
 # SeedSequence(entropy=master_seed, spawn_key=path).generate_state(2, uint64).
 # SeedSequence coerces the seed and each spawn key entry to uint32 words and
 # hashes the word sequence into a 4-word pool (numpy/random/bit_generator.pyx),
-# one word after another. Streams that share their leading words share the
-# pool up to there, so :func:`_philox_keys` hashes those words once, with
-# SeedSequence itself, and runs the rest of the hash (hashmix and mix on
-# uint32) on a matrix whose rows are the streams: one pass of array operations
-# derives every key. The hash constants depend only on the word count.
+# one word after another: past the fourth, word j is mixed into each pool word
+# by hashmix calls 4j .. 4j + 3. The clients of a round share every word
+# before their id, so :func:`shuffle_clients` hashes those once, with
+# SeedSequence itself, then mixes in the id column and the epoch words with
+# the same uint32 hashmix and mix, one pool column per client, and turns the
+# pool into each client's key as generate_state does.
 
 _POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -160,57 +162,30 @@ def _entropy_words(stream: RngStream) -> list:
     return words
 
 
-def _philox_keys(words: np.ndarray) -> np.ndarray:
-    """Philox keys (n, 2) uint64 of the entropy-word rows words (n, L), whose
-    first min(L, 4) columns are the same in every row."""
-    n, L = words.shape
-    shared = (words == words[:1]).all(axis=0)
-    split = L if shared.all() else int(np.argmin(shared))
-    seq = np.random.SeedSequence(words[0, :split])  # uint32 words are taken as they are
-    if split == L:
-        return np.tile(seq.generate_state(2, np.uint64), (n, 1))
-    pool = seq.pool[:, None]  # (4, 1), then (4, n): one column per row
-    A = _mix_constants(L)
-    for j in range(split, L):
-        k = _POOL * j
-        word = words[:1, j] if shared[j] else words[:, j]
-        pool = _mix(pool, _hashmix(word, A[k : k + _POOL], A[k + 1 : k + _POOL + 1]))
-    C = _STATE_CONSTANTS
-    state = _hashmix(pool, C[:-1], C[1:]).T  # generate_state's 4 words per row
-    return np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64)
-
-
 def shuffle_clients(stream: RngStream, ids, epoch: int, views) -> None:
     """Shuffle each views[i] in place, bit for bit as
     stream.child("client", ids[i]).child("epoch", epoch).generator().shuffle
-    would.
+    would. Every id must fit in one uint32 word (FedConfig keeps K below 2**32).
 
-    Every client's stream shares its path words up to the client id, so one
-    uint32 matrix holds all their entropy words: the shared words, the id
-    columns, the epoch words. Ids of more than one word are grouped by row
-    length, and :func:`_philox_keys` derives each group's keys at once. Every
-    shuffle is drawn from one Philox whose whole state (the client's key,
-    counter 0, empty buffer) is set before it. permutation(n) is arange(n)
-    shuffled, and a shuffle's swaps do not depend on the values shuffled, so
-    a view that holds start + arange(n) ends as start plus that permutation.
+    The words before the id, at least 5 (the seed padded to 4, the path, the
+    "client" label), are hashed once into a pool; the id column and then the
+    epoch's words are mixed into it, one column per client, and each column
+    becomes that client's Philox key. Every shuffle is drawn from one Philox
+    whose whole state (the client's key, counter 0, empty buffer) is set
+    before it. permutation(n) is arange(n) shuffled, and a shuffle's swaps do
+    not depend on the values shuffled, so a view that holds start + arange(n)
+    ends as start plus that permutation.
     """
     head = _entropy_words(stream.child("client", 0))[:-1]  # the words before the id
-    tail = [_label_word("epoch")] + _int_words(epoch)
-    if max(ids, default=0) <= _MASK32:  # one word per id: one matrix
-        groups = [(np.arange(len(ids)), np.array(ids, dtype=np.uint32)[:, None])]
-    else:
-        by_len = {}
-        for i, cid in enumerate(ids):
-            by_len.setdefault(len(_int_words(cid)), []).append(i)
-        groups = [(rows, np.array([_int_words(ids[i]) for i in rows], dtype=np.uint32))
-                  for rows in by_len.values()]
-    keys = np.empty((len(ids), 2), dtype=np.uint64)
-    for rows, id_words in groups:
-        words = np.empty((len(rows), len(head) + id_words.shape[1] + len(tail)), dtype=np.uint32)
-        words[:, : len(head)] = head
-        words[:, len(head) : -len(tail)] = id_words
-        words[:, -len(tail) :] = tail
-        keys[rows] = _philox_keys(words)
+    rest = [np.array(ids, dtype=np.uint32), _label_word("epoch"), *_int_words(epoch)]
+    pool = np.random.SeedSequence(np.array(head, dtype=np.uint32)).pool[:, None]
+    A = _mix_constants(len(head) + len(rest))
+    for j, word in enumerate(rest, start=len(head)):
+        k = _POOL * j
+        pool = _mix(pool, _hashmix(word, A[k : k + _POOL], A[k + 1 : k + _POOL + 1]))
+    C = _STATE_CONSTANTS
+    keys = _hashmix(pool, C[:-1], C[1:]).T  # generate_state's 4 words per client
+    keys = np.ascontiguousarray(keys, dtype="<u4").view("<u8")
     bit_generator = np.random.Philox(0)  # its seed is never drawn from
     generator = np.random.Generator(bit_generator)
     state = bit_generator.state

@@ -135,6 +135,8 @@ BAD_VALUES = {
     # counts must be integers (not floats, not bools), and the seed >= 0
     "T_float": {"federation": {"K": 4, "T": 2.5}},
     "K_float": {"federation": {"K": 4.0}},
+    # a client id is one 32-bit word of its substream's key
+    "K_two_words": {"federation": {"K": 2**32}},
     "epochs_bool": {"federation": {"K": 4, "epochs": True}},
     "batch_size_float": {"federation": {"K": 4, "batch_size": 8.0}},
     "seed_negative": {"federation": {"K": 4, "seed": -1}},

@@ -136,11 +136,28 @@ class TestCompare:
         assert len(capsys.readouterr().out.splitlines()) == 2
         assert len((tmp_path / "cmp" / "comparison.csv").read_text().splitlines()) == 2
 
+    def test_noiseless_summary_is_strict_json(self, tmp_path, capsys):
+        """fedavg_clean adds no noise, so its ε is infinite: written "inf",
+        which compare reads back as inf."""
+        assert main(["--quiet", "--out", str(tmp_path / "a"), "run", "fedavg_clean"]) == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        doc = json.loads((tmp_path / "a" / "summary.json").read_text(), parse_constant=reject)
+        assert doc["eps_total_nominal"] == "inf"
+        assert main(["--out", str(tmp_path / "cmp"), "compare", str(tmp_path / "a")]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split()[-1] == "inf"
+        csv_row = (tmp_path / "cmp" / "comparison.csv").read_text().splitlines()[1]
+        assert csv_row.endswith(",inf")
+
     @pytest.mark.parametrize("summary, message", [
         ("{not json", "not valid JSON"),
         ('{"A_Fed": 0.9}', "missing key A_Cen"),
         (json.dumps(dict(FULL_SUMMARY, A_Fed="x")), "A_Fed must be a number"),
         (json.dumps(dict(FULL_SUMMARY, A_Fed=True)), "A_Fed must be a number"),
+        (json.dumps(dict(FULL_SUMMARY, eps_total_nominal="-inf")),
+         "eps_total_nominal must be a number"),
     ])
     def test_malformed_summary_exit_code(self, tmp_path, capsys, summary, message):
         main(["--quiet", "--out", str(tmp_path / "a"), "run", write_config(tmp_path, SMALL)])

@@ -35,6 +35,15 @@ def drawn_sample(K, q, rng):
     return sorted(int(i) for i in ids)
 
 
+class TestClientIdBound:
+    """A client id is one 32-bit word of its substream's key."""
+
+    def test_K_below_2_to_the_32(self):
+        assert FedConfig(K=2**32 - 1).K == 2**32 - 1
+        with pytest.raises(ValueError, match=r"^K must be < 2\*\*32"):
+            FedConfig(K=2**32)
+
+
 class TestSampleClients:
     def test_full_participation(self):
         assert sample_clients(10, 1.0, RngStream(0).child("s")) == list(range(10))

@@ -102,6 +102,8 @@ WORDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1),
                   st.integers(2**64, 2**96))
 PATHS = st.lists(st.tuples(st.sampled_from(["round", "client", "epoch", ""]), WORDS),
                  max_size=4).map(tuple)
+# a client id is below K < 2**32: one word
+IDS = st.integers(0, 2**32 - 1)
 
 
 def shuffled(stream, ids, epoch, sizes):
@@ -120,7 +122,7 @@ class TestPermutations:
     """shuffle_clients shuffles arange(n) buffers into the permutations each
     client's own substream draws."""
 
-    @given(WORDS, PATHS, st.lists(st.tuples(WORDS, st.integers(0, 40)), min_size=1, max_size=6),
+    @given(WORDS, PATHS, st.lists(st.tuples(IDS, st.integers(0, 40)), min_size=1, max_size=6),
            WORDS)
     def test_equal_to_each_streams_generator(self, seed, path, drawn, epoch):
         stream = RngStream(seed, path)
@@ -132,10 +134,10 @@ class TestPermutations:
     @pytest.mark.parametrize("seed", [0, 7, 2**32 + 3, 2**64 + 5])
     def test_a_rounds_clients_at_once(self, seed):
         """The shape train_clients asks for: many clients, one epoch each,
-        with ids of one, two and three words and an empty shard, each
+        with ids up to the largest one word holds and an empty shard, each
         shuffling its pool rows start .. stop - 1 in its view of one buffer."""
         round_stream = RngStream(seed).child("round", 3)
-        ids = [0, 5, 2**32 - 1, 2**32, 2**40 + 9, 2**64 + 1, 8]
+        ids = [0, 5, 2**32 - 1, 2**31, 2**32 - 2, 4_000_000_007, 8]
         sizes = [1, 13, 32, 7, 200, 5, 0]
         buffer = np.arange(1000, 1000 + sum(sizes))
         views = np.split(buffer, np.cumsum(sizes)[:-1])
@@ -152,13 +154,20 @@ class TestPermutations:
             drawn.append(perm.tolist())
         assert drawn[0] == drawn[3] and drawn[0] != drawn[1]
 
+    def test_one_client_at_a_three_word_seed_and_two_word_epoch(self):
+        """The centralized baseline's shape, one client, at a seed and an
+        epoch of more than one word."""
+        stream = RngStream(2**64 + 11).child("round", 0)
+        (perm,) = shuffled(stream, [0], 2**32 + 1, [50])
+        assert np.array_equal(perm, own_permutation(stream, 0, 2**32 + 1, 50))
+
     def test_a_clients_shuffle_ignores_the_rest_of_the_sample(self):
         stream = RngStream(5).child("round", 2)
-        samples = [[2, 5, 9], [5, 7], [1, 5, 2**40]]
+        samples = [[2, 5, 9], [5, 7], [1, 5, 2**32 - 1]]
         drawn = [shuffled(stream, ids, 0, [30] * len(ids))[ids.index(5)] for ids in samples]
         assert all(np.array_equal(perm, drawn[0]) for perm in drawn)
 
-    @pytest.mark.parametrize("cid", [0, 2**40 + 9])
+    @pytest.mark.parametrize("cid", [0, 2**32 - 1])
     def test_one_client_train_clients_equals_its_own_stream(self, cid):
         batch = random_batch(MLP, n=37, seed=1)
         w0 = models.init_params(MLP, RngStream(3).child("init"))
