@@ -52,16 +52,24 @@ def _with_seed(cfg: ExperimentConfig, seed) -> ExperimentConfig:
 
 
 def _size_keys(cfg: ExperimentConfig, shape: tuple) -> str:
-    """The config keys that set an array of this shape, with the sizes they set."""
-    spec = cfg.model_spec
+    """The config keys that set an array of this shape, with the sizes they
+    set; a size that several keys set names each of them."""
+    spec, data = cfg.model_spec, cfg.data
     model_keys = "data.n_features, data.n_classes" + (
         ", model.hidden_units" if spec.kind == "mlp_1hidden" else "")
-    sizes = {
-        spec.param_dim: f"P = {spec.param_dim:,} parameters ({model_keys})",
-        cfg.fed.m_t: f"m_t = {cfg.fed.m_t:,} sampled clients (federation.K, federation.q)",
-        cfg.data.n_examples: f"{cfg.data.n_examples:,} examples (data.n_examples)",
-    }
-    named = list(dict.fromkeys(sizes[n] for n in shape if n in sizes))
+    sizes = [
+        (spec.param_dim, f"P = {spec.param_dim:,} parameters ({model_keys})"),
+        (cfg.fed.m_t, f"m_t = {cfg.fed.m_t:,} sampled clients (federation.K, federation.q)"),
+        (data.n_examples, f"{data.n_examples:,} examples (data.n_examples)"),
+        (data.n_features, f"{data.n_features:,} features (data.n_features)"),
+        (data.n_classes, f"{data.n_classes:,} classes (data.n_classes)"),
+        (data.n_groups, f"{data.n_groups:,} groups (data.n_groups)"),
+    ]
+    named = []
+    for n in dict.fromkeys(shape):
+        keys = [text for size, text in sizes if size == n]
+        if keys:
+            named.append((", ".join(keys[:-1]) + " or " if keys[:-1] else "") + keys[-1])
     return " and ".join(named) or "the data, model and federation sizes"
 
 

@@ -2,12 +2,14 @@
 
 Labels follow a planted logistic ground truth whose margin is controlled by
 ``class_separation``; a sensitive group attribute is attached per example with
-tunable feature-group correlation. Partitioning (IID shuffle-split or
-Dirichlet label skew) gives each training row a client, and one sort by
-client takes the training set into one pool whose row ranges are the
-shards. Bias is injected either at the data level (group-targeted label
-flipping, written into the pool) or at the update level (a multiplicative
-tag applied by the server loop at transmission time).
+tunable feature-group correlation. The data is built in place: one drawn
+feature matrix, split once and standardized in each split's own memory.
+Partitioning (IID shuffle-split or Dirichlet label skew) gives each training
+row a client, and one stable sort of the rows' clients takes the training
+set into one pool whose row ranges are the shards. Bias is injected either
+at the data level (group-targeted label flipping, written into the pool) or
+at the update level (a multiplicative tag applied by the server loop at
+transmission time).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .models import LabeledBatch
-from .numeric import RngStream, check_types
+from .numeric import RngStream, check_floats, check_types
 
 
 @dataclass(frozen=True)
@@ -44,6 +46,10 @@ class DataSpec:
             raise ValueError("class_separation must be a number in (0, 1e100]")
         if not 0.0 <= self.group_correlation <= 1.0:
             raise ValueError("group_correlation must be in [0, 1]")
+        # the feature matrix, the class directions and the group quantile grid
+        check_floats("n_examples * n_features", self.n_examples * self.n_features)
+        check_floats("n_classes * n_features", self.n_classes * self.n_features)
+        check_floats("n_groups + 1", self.n_groups + 1)
 
 
 @dataclass(frozen=True)
@@ -98,18 +104,21 @@ def generate(spec: DataSpec, rng: RngStream):
     """Build (train, test) with a deterministic 80/20 split.
 
     Features are standardized to zero mean / unit variance using train-split
-    statistics only.
+    statistics only. The build is in place: the class offsets are added into
+    the one drawn feature matrix, which is split once into its train and test
+    rows and then dropped, and each split is standardized in its own memory.
     """
     g = rng.generator()
     n, d = spec.n_examples, spec.n_features
     # unit-variance Gaussian clusters whose means sit class_separation apart
     # along planted directions; the class posterior is exactly logistic in X
-    y = g.integers(spec.n_classes, size=n).astype(np.int64)
+    y = g.integers(spec.n_classes, size=n)
     dirs = g.normal(size=(spec.n_classes, d))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     if spec.n_classes == 2:
         dirs[0] = -dirs[1]
-    X = g.normal(size=(n, d)) + 0.5 * spec.class_separation * dirs[y]
+    X = g.normal(size=(n, d))
+    X += (0.5 * spec.class_separation * dirs)[y]
 
     # group attribute: correlated with a feature projection with prob
     # group_correlation, uniform otherwise
@@ -125,13 +134,15 @@ def generate(spec: DataSpec, rng: RngStream):
     perm = g.permutation(n)
     n_train = int(round(0.8 * n))
     tr, te = perm[:n_train], perm[n_train:]
-    mu = X[tr].mean(axis=0)
-    sd = X[tr].std(axis=0)
+    X_tr, X_te = X[tr], X[te]
+    del X
+    mu = X_tr.mean(axis=0)
+    sd = X_tr.std(axis=0, mean=mu)
     sd = np.where(sd < 1e-12, 1.0, sd)
-    X = (X - mu) / sd
-    train = LabeledBatch(X[tr], y[tr], groups[tr])
-    test = LabeledBatch(X[te], y[te], groups[te])
-    return train, test
+    for part in (X_tr, X_te):
+        part -= mu
+        part /= sd
+    return LabeledBatch(X_tr, y[tr], groups[tr]), LabeledBatch(X_te, y[te], groups[te])
 
 
 def partition(train: LabeledBatch, K: int, scheme: PartitionScheme, rng: RngStream):
@@ -142,32 +153,40 @@ def partition(train: LabeledBatch, K: int, scheme: PartitionScheme, rng: RngStre
         raise ValueError(
             f"cannot partition {n} training examples across federation.K={K} clients")
     g = rng.generator()
+    clients = np.arange(K, dtype=np.min_scalar_type(K - 1))
     if scheme.kind == "iid":
         # consecutive chunks of a permutation, the first n % K one row longer
         rows = g.permutation(n)
-        owner = np.repeat(np.arange(K), n // K + (np.arange(K) < n % K))
+        owner = np.repeat(clients, n // K + (np.arange(K) < n % K))
     else:
-        rows, owner = _dirichlet_split(train.labels, K, scheme.alpha, g)
-    pool = train.take(rows[np.lexsort((rows, owner))])
+        rows, owner = _dirichlet_split(train.labels, clients, scheme.alpha, g)
+    # rows holds each training row once, so a stable sort of each row's owner
+    # orders the rows by client, then by row; numpy sorts a one- or two-byte
+    # key by radix, not by comparison
+    row_owner = np.empty(n, dtype=clients.dtype)
+    row_owner[rows] = owner
+    pool = train.take(np.argsort(row_owner, kind="stable"))
     stops = np.cumsum(np.bincount(owner, minlength=K)).tolist()
     return [ClientShard(pool, start, stop) for start, stop in zip([0] + stops[:-1], stops)]
 
 
-def _dirichlet_split(labels: np.ndarray, K: int, alpha: float, g: np.random.Generator):
+def _dirichlet_split(labels: np.ndarray, clients: np.ndarray, alpha: float,
+                     g: np.random.Generator):
     """Per-class client proportions from Dirichlet(alpha): the training rows
-    and the client of each row. Resample until every client has a row."""
-    classes = np.unique(labels)
+    and the client of each row, one of clients. Resample until every client
+    has a row."""
+    K = len(clients)
+    class_rows = [np.flatnonzero(labels == c) for c in np.flatnonzero(np.bincount(labels))]
     for _ in range(1000):
-        rows, owner = [], []
-        for c in classes:
-            idx_c = g.permutation(np.flatnonzero(labels == c))
+        rows, sizes = [], []
+        for idx in class_rows:
+            rows.append(g.permutation(idx))
             props = g.dirichlet(np.full(K, alpha))
-            cuts = (np.cumsum(props)[:-1] * len(idx_c)).astype(int)
-            rows.append(idx_c)
+            cuts = (np.cumsum(props)[:-1] * len(idx)).astype(int)
             # client k takes the positions i with cuts[k - 1] <= i < cuts[k]
-            owner.append(np.searchsorted(cuts, np.arange(len(idx_c)), side="right"))
-        owner = np.concatenate(owner)
-        if np.bincount(owner, minlength=K).all():
+            sizes.append(np.diff(cuts, prepend=0, append=len(idx)))
+        if np.sum(sizes, axis=0).all():
+            owner = np.concatenate([np.repeat(clients, s) for s in sizes])
             return np.concatenate(rows), owner
     raise ValueError(
         f"a Dirichlet split with partition.alpha={alpha} left some of the "

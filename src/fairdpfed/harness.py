@@ -240,7 +240,14 @@ def _scenario_inputs(cfg: ExperimentConfig) -> tuple:
 
 
 def build_scenario(cfg: ExperimentConfig):
-    """Generate data, partition into shards, and inject the bias scenario."""
+    """Generate data, partition into shards, and inject the bias scenario.
+
+    Every step works in place or takes one copy: the feature matrix is drawn
+    once and dropped after its one split into train and test, which are
+    standardized in their own memory; the pool is the one copy of train in
+    client order, and label-flip bias rewrites the pool's labels. The peak is
+    near two copies of the feature matrix.
+    """
     root = RngStream(cfg.fed.seed)
     train, test = generate(cfg.data, root.child("data"))
     try:  # a split the data cannot fill is a config error

@@ -53,7 +53,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .numeric import ParamVector, RngStream, check_types, shuffle_clients
+from .numeric import ParamVector, RngStream, check_floats, check_types, shuffle_clients
 
 PROB_CLAMP = 1e-12
 
@@ -84,6 +84,9 @@ class ModelSpec:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.kind == "mlp_1hidden" and self.hidden_units < 1:
             raise ValueError("mlp_1hidden requires hidden_units >= 1")
+        tail = ("hidden_units + (hidden_units + 1) * n_out" if self.kind == "mlp_1hidden"
+                else "n_out")
+        check_floats(f"P = (n_features + 1) * {tail}", self.param_dim)
 
     @cached_property
     def n_out(self) -> int:

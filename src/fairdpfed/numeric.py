@@ -41,6 +41,19 @@ def l2_norm(v: ParamVector):
     return float(norms[0]) if v.ndim == 1 else norms
 
 
+# the most float64 values one numpy array can hold: numpy counts an array's
+# bytes in a signed np.intp, and a larger size fails with a ValueError
+MAX_FLOATS = np.iinfo(np.intp).max // 8
+
+
+def check_floats(keys: str, count: int) -> None:
+    """Raise ValueError if count float64 values, the size keys give an
+    array, are more than one numpy array can hold."""
+    if count > MAX_FLOATS:
+        raise ValueError(f"{keys} = {count:,} is more float64 values than one array "
+                         f"can hold ({MAX_FLOATS:,})")
+
+
 # what a dataclass field of each annotation holds, and what to call it
 _FIELD_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"),
                 "bool": (bool, "true or false"), "str": (str, "a string")}

@@ -73,6 +73,36 @@ def one_row_train_clients(spec, w0, batch, epochs, lr, batch_size, rng, cid):
     return W[0]
 
 
+def reference_generate(spec, rng):
+    """datagen.generate written out of place, as it once was: each arithmetic
+    step makes a new array, and all n rows are standardized before the split.
+    Draws what generate draws, in the same order."""
+    g = rng.generator()
+    n, d = spec.n_examples, spec.n_features
+    y = g.integers(spec.n_classes, size=n).astype(np.int64)
+    dirs = g.normal(size=(spec.n_classes, d))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    if spec.n_classes == 2:
+        dirs[0] = -dirs[1]
+    X = g.normal(size=(n, d)) + 0.5 * spec.class_separation * dirs[y]
+    v = g.normal(size=d)
+    v /= np.linalg.norm(v)
+    proj = X @ v
+    edges = np.quantile(proj, np.linspace(0, 1, spec.n_groups + 1)[1:-1])
+    corr_groups = np.searchsorted(edges, proj).astype(np.int64)
+    rand_groups = g.integers(spec.n_groups, size=n)
+    use_corr = g.random(n) < spec.group_correlation
+    groups = np.where(use_corr, corr_groups, rand_groups)
+    perm = g.permutation(n)
+    n_train = int(round(0.8 * n))
+    tr, te = perm[:n_train], perm[n_train:]
+    mu = X[tr].mean(axis=0)
+    sd = X[tr].std(axis=0)
+    sd = np.where(sd < 1e-12, 1.0, sd)
+    X = (X - mu) / sd
+    return (LabeledBatch(X[tr], y[tr], groups[tr]), LabeledBatch(X[te], y[te], groups[te]))
+
+
 def per_client_lists_partition(train, K, scheme, rng):
     """The pool rows and the shard spans of datagen.partition, assembled the
     way it once did: a Python list of rows per client, each sorted, then
@@ -172,6 +202,13 @@ BAD_VALUES = {
     "factor_bool": {"federation": {"K": 4},
                     "bias": {"biased_client_ids": [0], "mode": "update_scale",
                              "factor": True}},
+    # sizes whose arrays are more bytes than numpy can address
+    **{f"{key}_unaddressable": {"data": {key: 10**19}, "federation": {"K": 2, "T": 1}}
+       for key in ("n_examples", "n_features", "n_groups")},
+    "feature_matrix_unaddressable": {"data": {"n_examples": 5 * 10**18, "n_features": 4},
+                                     "federation": {"K": 2, "T": 1}},
+    "hidden_units_unaddressable": {"model": {"kind": "mlp_1hidden", "hidden_units": 10**18},
+                                   "federation": {"K": 2, "T": 1}},
 }
 
 

@@ -83,6 +83,20 @@ class TestRun:
                         "P = 221 parameters (data.n_features, data.n_classes, "
                         "model.hidden_units)")
 
+    def test_too_large_data_array_names_every_key_of_its_sizes(self, tmp_path, capsys):
+        """The (n_classes, n_features) class directions: 2 is m_t, n_classes
+        and n_groups alike, so all three are named."""
+        raw = {"data": {"n_features": 10**14}, "federation": {"K": 2, "T": 1}}
+        rc = main(["--quiet", "--out", str(tmp_path / "run"), "run",
+                   write_config(tmp_path, raw)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "config error: a float64 array of shape (2, 100000000000000) needs "
+            "1,490,116.12 GiB, which could not be allocated; its size is set by "
+            "m_t = 2 sampled clients (federation.K, federation.q), 2 classes "
+            "(data.n_classes) or 2 groups (data.n_groups) and 100,000,000,000,000 "
+            "features (data.n_features)\n")
+
     def test_infeasible_dirichlet_split_exit_code(self, tmp_path, capsys):
         raw = {"data": {"n_examples": 300, "n_features": 5},
                "partition": {"kind": "dirichlet_label_skew", "alpha": 0.1},

@@ -1,15 +1,17 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from helpers_fed import one_row_train_clients, per_client_lists_partition
+from helpers_fed import one_row_train_clients, per_client_lists_partition, reference_generate
 
 from fairdpfed import models
 from fairdpfed.datagen import (
     BiasTag,
     DataSpec,
     PartitionScheme,
+    _dirichlet_split,
     generate,
     inject_bias,
     partition,
@@ -21,8 +23,8 @@ from fairdpfed.numeric import RngStream
 DEFAULT = DataSpec()
 
 
-def make_shards(K=10, n=1000, seed=0, scheme=PartitionScheme(kind="iid")):
-    spec = DataSpec(n_examples=n, n_features=5)
+def make_shards(K=10, n=1000, seed=0, scheme=PartitionScheme(kind="iid"), n_classes=2):
+    spec = DataSpec(n_examples=n, n_features=5, n_classes=n_classes)
     train, _ = generate(spec, RngStream(seed).child("data"))
     return train, partition(train, K, scheme, RngStream(seed).child("part"))
 
@@ -64,6 +66,23 @@ class TestGenerate:
         again, _ = generate(corr, RngStream(6).child("data"))
         assert np.array_equal(train.groups, again.groups)
         assert set(np.unique(train.groups)) <= {0, 1}
+
+
+class TestGenerateMatchesOutOfPlaceFormula:
+    """generate's in-place build gives the bytes that the out-of-place
+    formula, which standardized all n rows before the split, gave."""
+
+    @pytest.mark.parametrize("n", [3, 7, 101, 5000])
+    def test_split_bytes(self, n):
+        for d, n_classes, n_groups, separation, correlation, seed in itertools.product(
+                [1, 3, 20], [2, 3, 10], [2, 3], [0.1, 5.0, 1e100], [0.0, 0.5, 1.0], [0, 1, 31]):
+            spec = DataSpec(n, d, n_classes, n_groups, separation, correlation)
+            got = generate(spec, RngStream(seed).child("data"))
+            want = reference_generate(spec, RngStream(seed).child("data"))
+            for got_split, want_split in zip(got, want):
+                for name in ("features", "labels", "groups"):
+                    a, b = getattr(got_split, name), getattr(want_split, name)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (spec, seed, name)
 
 
 class TestPartition:
@@ -132,21 +151,32 @@ class TestPartition:
         assert skewed > uniform
 
 
-class TestPartitionMatchesPerClientLists:
-    """partition's one lexsort gives the pool and spans that sorting a list
-    of rows per client gave."""
+DIRICHLET = "dirichlet_label_skew"
+SPLIT_CASES = [pytest.param(K, n, PartitionScheme(kind, alpha), n_classes, id=name)
+               for name, K, n, kind, alpha, n_classes in [
+    ("iid-1", 1, 100, "iid", 1.0, 2),
+    ("iid-7", 7, 500, "iid", 1.0, 2),
+    ("iid-100", 100, 20_000, "iid", 1.0, 2),
+    ("dirichlet-9", 9, 500, DIRICHLET, 0.5, 2),
+    ("dirichlet-100", 100, 20_000, DIRICHLET, 0.5, 2),
+    ("dirichlet-50-redraws", 50, 2_000, DIRICHLET, 0.3, 2),
+    ("dirichlet-1", 1, 100, DIRICHLET, 0.5, 2),
+    ("dirichlet-5-alpha0.1", 5, 1_000, DIRICHLET, 0.1, 2),
+    ("iid-12-classes10", 12, 1_500, "iid", 1.0, 10),
+    ("dirichlet-20-classes3", 20, 2_000, DIRICHLET, 0.5, 3),
+    ("dirichlet-30-classes10", 30, 5_000, DIRICHLET, 0.5, 10),
+    ("dirichlet-4-alpha0.1-classes10", 4, 1_000, DIRICHLET, 0.1, 10),
+]]
 
-    @pytest.mark.parametrize("K, n, scheme", [
-        (1, 100, PartitionScheme(kind="iid")),
-        (7, 500, PartitionScheme(kind="iid")),
-        (100, 20_000, PartitionScheme(kind="iid")),
-        (9, 500, PartitionScheme(kind="dirichlet_label_skew", alpha=0.5)),
-        (100, 20_000, PartitionScheme(kind="dirichlet_label_skew", alpha=0.5)),
-        (50, 2_000, PartitionScheme(kind="dirichlet_label_skew", alpha=0.3)),
-    ], ids=["iid-1", "iid-7", "iid-100", "dirichlet-9", "dirichlet-100", "dirichlet-50-redraws"])
+
+class TestPartitionMatchesPerClientLists:
+    """partition's one stable sort of the rows' owners gives the pool and
+    spans that sorting a list of rows per client gave."""
+
+    @pytest.mark.parametrize("K, n, scheme, n_classes", SPLIT_CASES)
     @pytest.mark.parametrize("seed", [0, 1, 31])
-    def test_pool_bytes_and_spans(self, K, n, scheme, seed):
-        train, shards = make_shards(K=K, n=n, seed=seed, scheme=scheme)
+    def test_pool_bytes_and_spans(self, K, n, scheme, n_classes, seed):
+        train, shards = make_shards(K=K, n=n, seed=seed, scheme=scheme, n_classes=n_classes)
         rows, spans = per_client_lists_partition(train, K, scheme,
                                                  RngStream(seed).child("part"))
         want = train.take(rows)
@@ -154,6 +184,19 @@ class TestPartitionMatchesPerClientLists:
         for name in ("features", "labels", "groups"):
             assert getattr(pool, name).tobytes() == getattr(want, name).tobytes()
         assert [(s.start, s.stop) for s in shards] == spans
+
+    @pytest.mark.parametrize("K, n, scheme, n_classes",
+                             [c for c in SPLIT_CASES if c.values[2].kind == DIRICHLET])
+    @pytest.mark.parametrize("seed", [0, 1, 31])
+    def test_dirichlet_rows_hold_each_row_once(self, K, n, scheme, n_classes, seed):
+        """The owner sort orders the rows by client, then by row, only because
+        the split's rows are a permutation of the training rows."""
+        train, _ = make_shards(K=1, n=n, seed=seed, n_classes=n_classes)
+        g = RngStream(seed).child("part").generator()
+        rows, owner = _dirichlet_split(train.labels, np.arange(K), scheme.alpha, g)
+        assert np.array_equal(np.sort(rows), np.arange(len(train)))
+        assert len(owner) == len(train)
+        assert np.bincount(owner, minlength=K).all()
 
     @pytest.mark.parametrize("seed", [0, 1, 31])
     def test_dirichlet_case_redraws(self, seed):

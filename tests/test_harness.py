@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -128,6 +129,41 @@ class TestPresets:
     def test_biased_attack_has_biased_minority(self):
         cfg = preset_config("biased_attack")
         assert len(cfg.bias.biased_client_ids) / cfg.fed.K == pytest.approx(0.2)
+
+
+# the data, model, partition and client count of each benchmark workload
+BENCHMARK_SHAPED = {
+    "cross_device_lr": {"data": {"n_examples": 20000, "n_features": 20},
+                        "partition": {"kind": "dirichlet_label_skew", "alpha": 0.5},
+                        "federation": {"K": 100, "seed": 1},
+                        "bias": {"biased_client_ids": [3, 40], "mode": "update_scale"}},
+    "wide_server": {"data": {"n_examples": 16000, "n_features": 100, "n_classes": 10},
+                    "model": {"kind": "mlp_1hidden", "hidden_units": 256},
+                    "federation": {"K": 1000, "q": 0.5, "seed": 1},
+                    "bias": {"biased_client_ids": [0, 5], "mode": "update_scale"}},
+    "m_sweep": {"data": {"n_examples": 5000, "n_features": 20, "class_separation": 2.0},
+                "model": {"kind": "mlp_1hidden", "hidden_units": 16},
+                "partition": {"kind": "dirichlet_label_skew", "alpha": 0.3},
+                "federation": {"K": 50, "seed": 1},
+                "bias": {"biased_client_ids": [7], "mode": "update_scale"}},
+}
+
+
+class TestBuildScenarioMemory:
+    @pytest.mark.parametrize("name", sorted(BENCHMARK_SHAPED))
+    def test_peak_below_two_and_a_half_feature_matrices(self, name):
+        """The in-place build peaks near two copies of the feature matrix:
+        the drawn matrix and its two splits, before it is dropped. The
+        out-of-place formula peaked above three."""
+        cfg = config_from_dict(BENCHMARK_SHAPED[name])
+        build_scenario(cfg)  # loads the modules numpy imports on first use
+        tracemalloc.start()
+        try:
+            build_scenario(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * cfg.data.n_examples * cfg.data.n_features * 8
 
 
 class TestCentralizedBaseline:
