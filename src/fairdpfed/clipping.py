@@ -3,9 +3,8 @@
 The dual-threshold operator divides an update by max(1, ||d||/S, ||d||/M),
 where S bounds sensitivity for the privacy noise and M bounds suspiciously
 large (biased) updates. Algebraically this equals a single norm clip at
-min(S, M), and is computed as one, for a block of updates (each row by its
-own factor, one report per row) or a vector, a block of one row; the report
-records which threshold actually bound the update.
+min(S, M), and clip_factors decides it as one, for a round's norms at once;
+dual_clip is that decision and one multiply, for a vector or a block.
 """
 
 from __future__ import annotations
@@ -44,37 +43,40 @@ def clip_by_norm(v: ParamVector, c: float):
     return v * factor, ClipReport(pre_norm=n, factor=factor, clipped_by="dp_bound")
 
 
-def dual_clip(delta: ParamVector, S: float, M: float, norm=None, out=None):
-    """Divide delta by max(1, ||delta||/S, ||delta||/M).
+def clip_factors(norms, S: float, M: float):
+    """Each update's factor 1 / max(norm / min(S, M), 1) and ClipReport, for
+    the finite norms (an array-like) of a round's updates.
 
-    The report names the binding branch: dp_bound when S <= M, bias_bound
-    when M < S (exact ties go to dp_bound). A given ``norm`` must be that of a
-    finite float64 delta and skips the check. A clipped delta is written to
-    ``out`` when given, else to a new array; an unclipped one is returned as is.
-
-    delta may also be a (k, P) block of rows, with norm then their norms
-    (k,), and a list of k reports is returned. Without ``out`` every row is
-    written to a new array (an unclipped row times 1.0, which is the row);
-    with ``out`` only the clipped rows are, each to its own row.
+    Division rounds monotonically, so norm / min(S, M) is the larger of
+    norm / S and norm / M, bit for bit; where a subnormal threshold makes it
+    overflow, the factor is 0.0. The report names the binding branch:
+    dp_bound when S <= M, bias_bound when M < S (exact ties go to dp_bound).
     """
     if S <= 0 or M <= 0:
         raise ValueError("thresholds S and M must be positive")
+    norms = np.asarray(norms, dtype=np.float64).reshape(-1)
+    with np.errstate(over="ignore"):
+        denom = np.maximum(norms / min(S, M), 1.0)
+    factors = 1.0 / denom
+    branch = "dp_bound" if S <= M else "bias_bound"
+    reports = list(map(ClipReport, norms.tolist(), factors.tolist(),
+                       np.where(denom == 1.0, "none", branch).tolist()))
+    return factors, reports
+
+
+def dual_clip(delta: ParamVector, S: float, M: float, norm=None):
+    """Divide delta by max(1, ||delta||/S, ||delta||/M), as clip_factors
+    decides; returns the clipped delta and its report.
+
+    A given ``norm`` must be that of a finite float64 delta and skips the
+    check. An unclipped vector is returned as is. delta may also be a (k, P)
+    block, with norm its rows' norms (k,): each row is multiplied by its
+    factor into a new array, and a list of k reports is returned.
+    """
     if norm is None:
         delta = np.asarray(delta, dtype=np.float64)
         norm = _finite_norm(delta)
-    branch = "dp_bound" if S <= M else "bias_bound"
-    # a vector is a block of one row; division rounds monotonically, so
-    # norm / min(S, M) is the larger of norm / S and norm / M, bit for bit
-    norms = np.asarray(norm, dtype=np.float64).reshape(-1)
-    denom = np.maximum(norms / min(S, M), 1.0)
-    factor = 1.0 / denom
-    reports = list(map(ClipReport, norms.tolist(), factor.tolist(),
-                       np.where(denom == 1.0, "none", branch).tolist()))
+    factors, reports = clip_factors(norm, S, M)
     if delta.ndim == 1:
-        clipped = delta if denom[0] == 1.0 else np.multiply(delta, factor[0], out=out)
-        return clipped, reports[0]
-    if out is None:
-        return np.multiply(delta, factor[:, None]), reports
-    for i in np.flatnonzero(denom > 1.0).tolist():
-        np.multiply(delta[i], factor[i], out=out[i])
-    return out, reports
+        return (delta if factors[0] == 1.0 else delta * factors[0]), reports[0]
+    return delta * factors[:, None], reports

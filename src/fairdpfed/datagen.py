@@ -100,6 +100,17 @@ class PartitionScheme:
             raise ValueError("dirichlet alpha must be a finite number > 0")
 
 
+def _quantiles(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """np.quantile(a, q) by its default linear method, on a sorted copy of a
+    (np.quantile imports numpy.ma); only a zero's sign may differ."""
+    a = np.sort(a)
+    g, i = np.modf((len(a) - 1) * q)
+    i = i.astype(np.intp)
+    below, above = a[i], a[np.minimum(i + 1, len(a) - 1)]
+    diff = above - below
+    return np.where(g >= 0.5, above - diff * (1 - g), below + diff * g)
+
+
 def generate(spec: DataSpec, rng: RngStream):
     """Build (train, test) with a deterministic 80/20 split.
 
@@ -125,7 +136,7 @@ def generate(spec: DataSpec, rng: RngStream):
     v = g.normal(size=d)
     v /= np.linalg.norm(v)
     proj = X @ v
-    edges = np.quantile(proj, np.linspace(0, 1, spec.n_groups + 1)[1:-1])
+    edges = _quantiles(proj, np.linspace(0, 1, spec.n_groups + 1)[1:-1])
     corr_groups = np.searchsorted(edges, proj).astype(np.int64)
     rand_groups = g.integers(spec.n_groups, size=n)
     use_corr = g.random(n) < spec.group_correlation

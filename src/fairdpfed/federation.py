@@ -9,44 +9,34 @@ substream), so rounds are reproducible.
 
 A round samples m_t = sample_size(K, q) clients. The server holds m_t * P * 8
 bytes of updates once per run: one (m_t, P) float64 matrix, reused every
-round. models.train_clients trains the sampled clients together, client i in
-row i, on their row spans of the scenario's shard pool, in the blocks of
-models.schedule: each full step is a block, and the short last minibatches
-run after them as ragged blocks of at most models.block_rows(P) clients;
-clients whose minibatches have the same row count run as one stacked matmul
-per product, and the rows are updated in place. The run's models.Plan binds
-those blocks to the matrix (minibatch buffers, work arrays, each block's call
-list) and is kept in the server state; it lives and dies with the run, as the
-matrix does. When the sampled spans change (q < 1), it rebuilds only the
-schedule, the spans and the order, and emits call lists only for block keys
-the run has not met. train_clients is the program's one SGD loop:
-harness.centralized_baseline trains through it too, as one client on the
-whole training set, with a one-row plan bound once per call. Each epoch the
-sampled clients' shuffles are drawn in one call: the round stream's key words
-are hashed once, then each client's id (one 32-bit word, as K < 2**32) and
-the epoch are mixed in. The result is bit-identical to training each client
-on its own. A block's finished rows are finished at once, right after its
-step, while they are still in cache: they become the clients' transmitted
-differences (minus the global model, times any update bias), and l2_norm
-takes their norms in one call, which are checked finite once, after
-training. The server then clips the rows a block of the same row budget at
-a time, dual_clip clipping each block, and adds them to a running total in
-sampled order, by one reduction when one block holds the round: one read of
-the matrix. Over several blocks, only the rows that clip are scaled; the
-others are added as they are. When every client is sampled nothing is
-drawn. Evaluation reads the test set's group index, worked out once.
+round. models.train_clients trains the sampled clients together in it,
+client i in row i, on their row spans of the scenario's shard pool, in the
+blocks of the run's models.Plan (see models), which the server state keeps:
+it lives and dies with the run, as the matrix does, and when the sampled
+spans change (q < 1) it keeps its buffers and the call lists of the block
+keys it has met. Each row ends bit-identical to training its client alone.
+train_clients is the program's one SGD loop: harness.centralized_baseline
+trains through it too. Right after the block that holds a client's last
+step, while the row is still in cache, it becomes the client's transmitted
+difference (minus the global model, times any update bias), and l2_norm
+takes the block's norms in one call; they are checked finite once, after
+training. The server then decides the round's clips in one call and adds
+the clipped rows to a total in sampled order (see aggregate_round). When
+every client is sampled nothing is drawn. Evaluation reads the test set's
+group index, worked out once.
 """
 
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import models
-from .clipping import dual_clip
+from .clipping import clip_factors, dual_clip
 from .models import EvalMetrics, LabeledBatch, ModelSpec
 from .numeric import ParamVector, RngStream, check_types, l2_norm
 from .privacy import PrivacyLedger, add_noise, epsilon_per_round
@@ -178,8 +168,9 @@ def sample_clients(K: int, q: float, rng: RngStream) -> list:
 
 def adaptive_S(update_norms) -> float:
     """Median of the round's unclipped update norms (finite, as run_round
-    checked, and at least one), floored away from zero."""
-    return max(float(np.median(update_norms)), S_FLOOR)
+    checked, and at least one), floored away from zero. statistics.median
+    gives np.median's value, without np.median's import of numpy.ma."""
+    return max(float(statistics.median(update_norms)), S_FLOOR)
 
 
 def update_factors(tags) -> np.ndarray:
@@ -193,31 +184,23 @@ def aggregate_round(D: np.ndarray, config: FedConfig, norms):
     """Pick S, dual-clip each update, and average with 1/m_t.
 
     ``D`` is the round's (m_t, P) float64 update matrix, left unchanged, and
-    ``norms`` are its rows' finite norms. dual_clip clips the rows a block of
-    models.block_rows(P) at a time, each times its factor, and the clipped
-    rows are added to a total from 0.0 in sampled order. When one block
-    holds every row, one reduction over the block's first axis adds them: it
-    starts from 0.0 and adds the rows of a C-contiguous matrix in order.
-    Otherwise dual_clip writes each block's clipped rows into one buffer, and
-    the rows are added to the running total in place: a clipped row from the
-    buffer, an unclipped one (factor 1.0) straight from D. Either way the
-    average is bit-identical to summing the clipped matrix.
-    Returns (averaged update, S_used, list of ClipReport).
+    ``norms`` are its rows' finite norms, from which the clips are decided
+    once. When one block of models.block_rows(P) rows holds the round,
+    dual_clip clips D into a copy, whose rows one reduction adds in order,
+    from 0.0. Otherwise the rows are added to a total from 0.0 in place, a
+    clipped row scaled into one reused vector, an unclipped one (factor 1.0)
+    straight from D. Either way the average is bit-identical to summing the
+    clipped matrix. Returns (averaged update, S_used, list of ClipReport).
     """
     S = adaptive_S(norms) if config.S_policy == "median_adaptive" else config.S_fixed
     m, P = D.shape
-    rows = models.block_rows(P)
-    if m <= rows:
+    if m <= models.block_rows(P):
         clipped, reports = dual_clip(D, S, config.M, norm=norms)
         return np.add.reduce(clipped, axis=0, initial=0.0) / m, S, reports
-    total, clipped, reports = np.zeros(P), np.empty((rows, P)), []
-    for a in range(0, m, rows):
-        block = D[a : a + rows]
-        scaled, block_reports = dual_clip(block, S, config.M, norm=norms[a : a + rows],
-                                          out=clipped[: len(block)])
-        reports += block_reports
-        for row, scaled_row, report in zip(block, scaled, block_reports):
-            total += row if report.factor == 1.0 else scaled_row
+    factors, reports = clip_factors(norms, S, config.M)
+    total, scaled = np.zeros(P), np.empty(P)
+    for row, f in zip(D, factors.tolist()):
+        total += row if f == 1.0 else np.multiply(row, f, out=scaled)
     return total / m, S, reports
 
 

@@ -274,8 +274,8 @@ def centralized_baseline(cfg: ExperimentConfig, train: LabeledBatch, test: Label
     :class:`models.Plan` is bound once per call: its steps share one call
     list per minibatch size. Each round trains from the last round's model
     with the federated round/epoch schedule and substreams, so a
-    single-client federation with no clipping or noise reproduces it bit
-    for bit.
+    single-client federation with no clipping or noise reproduces it to
+    within a rounding: its model is w + (W - w), not the trained W.
     """
     spec = cfg.model_spec
     root = RngStream(cfg.fed.seed)

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +11,26 @@ from helpers_fed import BAD_VALUES, bad_section
 
 from fairdpfed import cli, harness
 from fairdpfed.cli import main
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_cli_process(*args):
+    """Run ``python -W error -m fairdpfed.cli *args`` in a new process with src
+    on PYTHONPATH, under -X importtime. Returns (exit code, stderr without the
+    import-time lines, whether numpy.ma was imported)."""
+    path = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-X", "importtime", "-m", "fairdpfed.cli", *args],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        capture_output=True, text=True, timeout=300,
+    )
+    lines = proc.stderr.splitlines(keepends=True)
+    imported = [line.rsplit("|", 1)[-1].strip() for line in lines
+                if line.startswith("import time:")]
+    err = "".join(line for line in lines if not line.startswith("import time:"))
+    return proc.returncode, err, "numpy.ma" in imported
 
 
 def write_config(tmp_path, raw):
@@ -125,6 +149,27 @@ class TestRun:
         assert main(["--quiet", "--out", str(tmp_path / "run"), "run",
                      write_config(tmp_path, raw)]) == rc
         assert capsys.readouterr().err == message
+
+
+class TestProcess:
+    """End-to-end runs in their own process, where every warning is an error."""
+
+    def test_run_imports_no_numpy_ma(self, tmp_path):
+        rc, err, numpy_ma = run_cli_process("--quiet", "--out", str(tmp_path / "run"),
+                                            "run", "fair_dp")
+        assert (rc, err) == (0, "")
+        assert not numpy_ma
+
+    @pytest.mark.parametrize("key, bound", [("S_fixed", "dp_bound"), ("M", "bias_bound")])
+    def test_subnormal_threshold_clips_every_update_to_zero(self, tmp_path, key, bound):
+        raw = {"federation": {"K": 2, "T": 1, "S_policy": "fixed", key: 1e-320}}
+        rc, err, _ = run_cli_process("--quiet", "--out", str(tmp_path / "run"),
+                                     "run", write_config(tmp_path, raw))
+        assert (rc, err) == (0, "")
+        rounds = (tmp_path / "run" / "rounds.jsonl").read_text().splitlines()
+        clients = [c for line in rounds for c in json.loads(line)["per_client"]]
+        assert len(clients) == 2
+        assert all(c["clip_factor"] == 0.0 and c["clipped_by"] == bound for c in clients)
 
 
 FULL_SUMMARY = {"A_Fed": 0.9, "A_Cen": 0.9, "delta_acc": 0.0, "per_group_gap": 0.0,

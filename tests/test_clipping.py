@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fairdpfed.clipping import clip_by_norm, dual_clip
+from fairdpfed.clipping import ClipReport, clip_by_norm, clip_factors, dual_clip
 
 
 def vectors(max_dim=16):
@@ -97,20 +97,50 @@ class TestDualClipBlock:
         D[4] = 0.0
         D[4, 0] = 1.0  # norm exactly 1: on every threshold equal to 1
         norms = np.array([np.sqrt(row.dot(row)) for row in D])
-        out = np.full_like(D, np.nan)
-        clipped, reports = dual_clip(D, S, M, norm=norms, out=out)
-        assert clipped is out
+        clipped, reports = dual_clip(D, S, M, norm=norms)
         new, new_reports = dual_clip(D, S, M)  # norms taken when not given
-        assert new_reports == reports
-        for row, got, new_row, norm, report in zip(D, clipped, new, norms, reports):
+        assert new.tobytes() == clipped.tobytes() and new_reports == reports
+        for row, got, norm, report in zip(D, clipped, norms, reports):
             want, want_report = dual_clip(row, S, M, norm=float(norm))
-            assert new_row.tobytes() == want.tobytes() and report == want_report
-            if report.factor == 1.0:  # returned as is: out's row is not written
-                assert want is row and np.isnan(got).all()
-            else:
-                assert got.tobytes() == want.tobytes()
+            assert got.tobytes() == want.tobytes() and report == want_report
+            if report.factor == 1.0:  # an unclipped vector is returned as is
+                assert want is row
         assert {r.clipped_by for r in reports} >= {"none"}
         assert {r.clipped_by for r in reports} != {"none"}
+
+
+class TestClipFactors:
+    @pytest.mark.parametrize("S, M", [(1.0, 2.0), (2.0, 1.0), (1.0, 1.0), (1.0, np.inf)])
+    def test_agrees_row_by_row_with_the_vector_clip(self, S, M):
+        g = np.random.default_rng(5)
+        D = g.normal(size=(8, 30)) / np.sqrt(30)
+        D *= np.array([0.1, 0.9, 1.0, 1.5, 3.0, 0.5, 8.0, 2.0])[:, None]
+        D[2] = 0.0
+        D[2, 0] = 1.0  # norm exactly 1
+        norms = [float(np.sqrt(row.dot(row))) for row in D]  # a list of norms
+        factors, reports = clip_factors(norms, S, M)
+        assert factors.dtype == np.float64 and len(reports) == len(D)
+        for row, norm, f, report in zip(D, norms, factors, reports):
+            want, want_report = dual_clip(row, S, M, norm=norm)
+            assert report == want_report and f == report.factor
+            assert (row * f).tobytes() == want.tobytes()
+        assert {r.clipped_by for r in reports} >= {"none"}
+        assert {r.clipped_by for r in reports} != {"none"}
+
+    @pytest.mark.parametrize("S, M, bound", [(1e-320, np.inf, "dp_bound"),
+                                             (1.0, 1e-320, "bias_bound")])
+    def test_subnormal_threshold_clips_to_zero_without_a_warning(self, S, M, bound):
+        """norm / 1e-320 overflows to inf: the factor is 0.0, and the
+        overflow is no warning (which tier-1 turns into an error)."""
+        factors, reports = clip_factors([2.0, 0.0], S, M)
+        assert factors.tolist() == [0.0, 1.0]
+        assert reports == [ClipReport(2.0, 0.0, bound), ClipReport(0.0, 1.0, "none")]
+
+    def test_bad_thresholds(self):
+        with pytest.raises(ValueError):
+            clip_factors([1.0], S=0.0, M=1.0)
+        with pytest.raises(ValueError):
+            clip_factors([1.0], S=1.0, M=-1.0)
 
 
 class TestNonFiniteNormRejected:

@@ -171,6 +171,22 @@ def set_row_budget(monkeypatch, rows, P):
         assert models.block_rows(P) == rows
 
 
+def count_clip_calls(monkeypatch):
+    """Record each clip decision aggregate_round makes, by name and number of
+    updates, in a list that is returned."""
+    calls = []
+
+    def counted(name, original):
+        def call(first, *args, **kwargs):
+            calls.append((name, len(first)))
+            return original(first, *args, **kwargs)
+        return call
+
+    for name in ("clip_factors", "dual_clip"):
+        monkeypatch.setattr(federation, name, counted(name, getattr(federation, name)))
+    return calls
+
+
 # blocks of 7 rows leave a partial last block in every matrix below
 BUDGETS = pytest.mark.parametrize("rows", [None, 7], ids=["one_block", "blocks_of_7"])
 
@@ -183,20 +199,16 @@ class TestAggregateMatrix:
         scales = [0.05, 0.2, 0.5, 1.0, 2.0, 5.0, 20.0, 50.0, 100.0]
         deltas = [s * g.normal(size=37) / math.sqrt(37) for s in scales]
         set_row_budget(monkeypatch, rows, 37)
-        calls = []  # one dual_clip per block: one in all when the budget holds every row
-
-        def counted(D, *args, **kwargs):
-            calls.append(len(D))
-            return dual_clip(D, *args, **kwargs)
-
-        monkeypatch.setattr(federation, "dual_clip", counted)
+        calls = count_clip_calls(monkeypatch)
         branches = set()
         for M in (10.0, 0.3):  # M above S (S binds), then below it (M binds)
             cfg = FedConfig(K=len(deltas), S_policy=S_policy, S_fixed=3.0, M=M)
             ref_avg, ref_S, ref_reports = per_update_aggregate(deltas, cfg)
             calls.clear()
             avg, S, reports = aggregate(deltas, cfg)
-            assert calls == ([7, 2] if rows else [9])
+            # one clip decision a round: dual_clip when one block holds every
+            # row, else clip_factors
+            assert calls == ([("clip_factors", 9)] if rows else [("dual_clip", 9)])
             assert np.array_equal(avg, ref_avg)
             assert S == ref_S
             assert reports == ref_reports
@@ -220,22 +232,23 @@ class TestAggregateMatrix:
         cfg = FedConfig(K=m, S_policy="median_adaptive", M=1e4)
         avg, S, reports = aggregate_round(D, cfg, norms)
         assert D.tobytes() == before.tobytes()
-        ref_reports = [dual_clip(row, S, cfg.M, norm=n, out=row)[1]
-                       for row, n in zip(before, norms)]  # in place
+        ref_reports = []
+        for i, n in enumerate(norms):  # clipped in place
+            before[i], report = dual_clip(before[i], S, cfg.M, norm=n)
+            ref_reports.append(report)
         assert avg.tobytes() == (before.sum(axis=0) / m).tobytes()
         assert reports == ref_reports
         assert {r.clipped_by for r in reports} == {"none", "dp_bound"}
 
 
 def rowwise_dual_clip_aggregate(D, config, norms):
-    """The server loop aggregate_round replaced: dual_clip on every row into
-    one reused vector, each row added to a running total."""
+    """The server loop aggregate_round replaced: dual_clip on every row, each
+    row added to a running total."""
     S = adaptive_S(norms) if config.S_policy == "median_adaptive" else config.S_fixed
     total = np.zeros(D.shape[1])
-    clipped = np.empty_like(total)
     reports = []
     for row, norm in zip(D, norms):
-        row, report = dual_clip(row, S, config.M, norm=norm, out=clipped)
+        row, report = dual_clip(row, S, config.M, norm=norm)
         total += row
         reports.append(report)
     return total / len(D), S, reports
@@ -281,6 +294,20 @@ class TestLeanAggregate:
         ref_avg, _, ref_reports = rowwise_dual_clip_aggregate(D, cfg, norms)
         assert avg.tobytes() == ref_avg.tobytes() and reports == ref_reports
         assert math.copysign(1.0, avg[4]) == 1.0
+
+    def test_many_blocks_decide_the_clips_once_a_round(self, monkeypatch):
+        """Over several blocks a round calls clip_factors once and dual_clip
+        not at all, and the run matches the one-block run byte for byte."""
+        config = scenario_config(T=3, K=6, n_examples=200, M=0.05, S_policy="median_adaptive")
+        _, test, shards = build_scenario(config)
+        one_block = run_training(config.fed, config.model_spec, shards, test)
+        set_row_budget(monkeypatch, 2, config.model_spec.param_dim)
+        calls = count_clip_calls(monkeypatch)
+        w, records, _ = run_training(config.fed, config.model_spec, shards, test)
+        assert calls == [("clip_factors", 6)] * 3
+        assert w.tobytes() == one_block[0].tobytes()
+        assert [r.to_dict() for r in records] == [r.to_dict() for r in one_block[1]]
+        assert {c["clipped_by"] for r in records for c in r.per_client} >= {"bias_bound"}
 
 
 class TestRunOwnsItsBuffers:
