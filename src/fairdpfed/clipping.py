@@ -4,7 +4,7 @@ The dual-threshold operator divides an update by max(1, ||d||/S, ||d||/M),
 where S bounds sensitivity for the privacy noise and M bounds suspiciously
 large (biased) updates. Algebraically this equals a single norm clip at
 min(S, M), and clip_factors decides it as one, for a round's norms at once;
-dual_clip is that decision and one multiply, for a vector or a block.
+dual_clip is that decision and one multiply, for one vector.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from .numeric import ParamVector, l2_norm
 
 
 def _finite_norm(v: ParamVector):
-    """l2_norm of the vector or block v; raises unless every norm is finite."""
+    """l2_norm of the vector v; raises unless it is finite."""
     norm = l2_norm(v)
-    if not np.isfinite(norm).all():
+    if not np.isfinite(norm):
         raise ValueError("vector norm is not finite")
     return norm
 
@@ -64,19 +64,12 @@ def clip_factors(norms, S: float, M: float):
     return factors, reports
 
 
-def dual_clip(delta: ParamVector, S: float, M: float, norm=None):
-    """Divide delta by max(1, ||delta||/S, ||delta||/M), as clip_factors
-    decides; returns the clipped delta and its report.
-
-    A given ``norm`` must be that of a finite float64 delta and skips the
-    check. An unclipped vector is returned as is. delta may also be a (k, P)
-    block, with norm its rows' norms (k,): each row is multiplied by its
-    factor into a new array, and a list of k reports is returned.
-    """
-    if norm is None:
-        delta = np.asarray(delta, dtype=np.float64)
-        norm = _finite_norm(delta)
-    factors, reports = clip_factors(norm, S, M)
-    if delta.ndim == 1:
-        return (delta if factors[0] == 1.0 else delta * factors[0]), reports[0]
-    return delta * factors[:, None], reports
+def dual_clip(delta: ParamVector, S: float, M: float):
+    """Divide the vector delta by max(1, ||delta||/S, ||delta||/M), as
+    clip_factors decides; returns the clipped delta and its report. An
+    unclipped vector is returned as is."""
+    delta = np.asarray(delta, dtype=np.float64)
+    if delta.ndim != 1:
+        raise ValueError(f"dual_clip clips one vector, got an array of shape {delta.shape}")
+    factors, reports = clip_factors(_finite_norm(delta), S, M)
+    return (delta if factors[0] == 1.0 else delta * factors[0]), reports[0]

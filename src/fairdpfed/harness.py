@@ -179,9 +179,9 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 def _read_object(path) -> dict:
     """The JSON object the file at path holds; ConfigError if it holds anything else."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, huge ints, deep nesting
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")

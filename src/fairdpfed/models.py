@@ -322,8 +322,7 @@ def gradient(spec: ModelSpec, w: ParamVector, batch: LabeledBatch) -> ParamVecto
 # time, so those arrays, and the rows a caller's hook then finishes, stay
 # within a 2 MB L2 cache: a 28,426-parameter model steps two rows at a time
 # (its rounds ran ~9% faster than one row at a time, and no faster with
-# four), a 21-parameter one three thousand. The server clips a round into
-# one copy when one block of the same budget holds it, else row by row.
+# four), a 21-parameter one three thousand.
 GROUP_BYTES = 1 << 19
 
 

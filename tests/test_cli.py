@@ -228,6 +228,27 @@ class TestCompare:
         assert str(tmp_path / "a" / "summary.json") in err and message in err
 
 
+# files json cannot read, each raising something other than JSONDecodeError
+UNREADABLE_JSON = {
+    "not_utf8": b'{"federation": {"K": "\xff"}}',
+    "int_of_5000_digits": b'{"federation": {"K": ' + b"1" * 5000 + b"}}",
+    "nested_200000_deep": b"[" * 200_000,
+}
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("case", sorted(UNREADABLE_JSON))
+def test_unreadable_json_exit_code(tmp_path, capsys, command, case):
+    path = tmp_path / "a" / ("cfg.json" if command == "run" else "summary.json")
+    path.parent.mkdir()
+    path.write_bytes(UNREADABLE_JSON[case])
+    rc = main(["--quiet", command, str(path if command == "run" else path.parent)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert f"{path}: not valid JSON" in err
+
+
 class TestSweep:
     def test_sweep_M(self, tmp_path, capsys):
         rc = main(["--quiet", "--out", str(tmp_path / "sweep"),

@@ -45,8 +45,9 @@ class TestDualClip:
         assert rep.clipped_by == "dp_bound"
 
     def test_no_clip(self):
-        out, rep = dual_clip(np.array([3.0, 4.0]), S=10.0, M=10.0)
-        assert np.array_equal(out, [3.0, 4.0])
+        v = np.array([3.0, 4.0])
+        out, rep = dual_clip(v, S=10.0, M=10.0)
+        assert out is v  # an unclipped vector is returned as is
         assert rep.factor == 1.0 and rep.clipped_by == "none"
 
     def test_bias_branch(self):
@@ -66,6 +67,12 @@ class TestDualClip:
     def test_zero_vector_factor_one(self):
         _, rep = dual_clip(np.zeros(3), S=1.0, M=1.0)
         assert rep.factor == 1.0 and rep.clipped_by == "none"
+
+    def test_block_rejected(self):
+        """A 2-D input is an error, not a block scaled by its first row's factor."""
+        B = np.array([[3.0, 4.0], [30.0, 40.0]])
+        with pytest.raises(ValueError, match="one vector"):
+            dual_clip(B, S=10.0, M=10.0)
 
     def test_bad_thresholds(self):
         with pytest.raises(ValueError):
@@ -88,27 +95,6 @@ class TestDualClip:
         assert np.all(np.abs(again - out) <= 1e-12)
 
 
-class TestDualClipBlock:
-    @pytest.mark.parametrize("S, M", [(1.0, 2.0), (2.0, 1.0), (1.0, 1.0), (1.0, np.inf)])
-    def test_each_row_as_the_vector_clip(self, S, M):
-        g = np.random.default_rng(3)
-        D = g.normal(size=(6, 40)) / np.sqrt(40)
-        D *= np.array([0.2, 0.9, 1.5, 3.0, 0.5, 8.0])[:, None]
-        D[4] = 0.0
-        D[4, 0] = 1.0  # norm exactly 1: on every threshold equal to 1
-        norms = np.array([np.sqrt(row.dot(row)) for row in D])
-        clipped, reports = dual_clip(D, S, M, norm=norms)
-        new, new_reports = dual_clip(D, S, M)  # norms taken when not given
-        assert new.tobytes() == clipped.tobytes() and new_reports == reports
-        for row, got, norm, report in zip(D, clipped, norms, reports):
-            want, want_report = dual_clip(row, S, M, norm=float(norm))
-            assert got.tobytes() == want.tobytes() and report == want_report
-            if report.factor == 1.0:  # an unclipped vector is returned as is
-                assert want is row
-        assert {r.clipped_by for r in reports} >= {"none"}
-        assert {r.clipped_by for r in reports} != {"none"}
-
-
 class TestClipFactors:
     @pytest.mark.parametrize("S, M", [(1.0, 2.0), (2.0, 1.0), (1.0, 1.0), (1.0, np.inf)])
     def test_agrees_row_by_row_with_the_vector_clip(self, S, M):
@@ -121,7 +107,7 @@ class TestClipFactors:
         factors, reports = clip_factors(norms, S, M)
         assert factors.dtype == np.float64 and len(reports) == len(D)
         for row, norm, f, report in zip(D, norms, factors, reports):
-            want, want_report = dual_clip(row, S, M, norm=norm)
+            want, want_report = dual_clip(row, S, M)
             assert report == want_report and f == report.factor
             assert (row * f).tobytes() == want.tobytes()
         assert {r.clipped_by for r in reports} >= {"none"}
@@ -159,9 +145,3 @@ class TestNonFiniteNormRejected:
     def test_overflowing_sum_of_squares_rejected(self, clip):
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
             self.CLIPS[clip](np.array([1e200, 1e200]))
-
-    def test_block_with_a_nonfinite_row_rejected(self):
-        B = np.ones((3, 4))
-        B[1, 2] = np.nan
-        with pytest.raises(ValueError, match="not finite"):
-            dual_clip(B, S=1.0, M=2.0)

@@ -164,11 +164,9 @@ def per_update_aggregate(deltas, config):
 
 
 def set_row_budget(monkeypatch, rows, P):
-    """Make models.block_rows(P), aggregate_round's rows per block, rows
-    (None keeps the default)."""
-    if rows:
-        monkeypatch.setattr(models, "GROUP_BYTES", rows * 8 * P)
-        assert models.block_rows(P) == rows
+    """Make models.block_rows(P), the models a training block steps, rows."""
+    monkeypatch.setattr(models, "GROUP_BYTES", rows * 8 * P)
+    assert models.block_rows(P) == rows
 
 
 def count_clip_calls(monkeypatch):
@@ -187,18 +185,12 @@ def count_clip_calls(monkeypatch):
     return calls
 
 
-# blocks of 7 rows leave a partial last block in every matrix below
-BUDGETS = pytest.mark.parametrize("rows", [None, 7], ids=["one_block", "blocks_of_7"])
-
-
 class TestAggregateMatrix:
     @pytest.mark.parametrize("S_policy", ["median_adaptive", "fixed"])
-    @BUDGETS
-    def test_matches_per_update_path_bit_for_bit(self, monkeypatch, S_policy, rows):
+    def test_matches_per_update_path_bit_for_bit(self, monkeypatch, S_policy):
         g = np.random.default_rng(11)
         scales = [0.05, 0.2, 0.5, 1.0, 2.0, 5.0, 20.0, 50.0, 100.0]
         deltas = [s * g.normal(size=37) / math.sqrt(37) for s in scales]
-        set_row_budget(monkeypatch, rows, 37)
         calls = count_clip_calls(monkeypatch)
         branches = set()
         for M in (10.0, 0.3):  # M above S (S binds), then below it (M binds)
@@ -206,24 +198,20 @@ class TestAggregateMatrix:
             ref_avg, ref_S, ref_reports = per_update_aggregate(deltas, cfg)
             calls.clear()
             avg, S, reports = aggregate(deltas, cfg)
-            # one clip decision a round: dual_clip when one block holds every
-            # row, else clip_factors
-            assert calls == ([("clip_factors", 9)] if rows else [("dual_clip", 9)])
+            assert calls == [("clip_factors", 9)]  # one clip decision a round
             assert np.array_equal(avg, ref_avg)
             assert S == ref_S
             assert reports == ref_reports
             branches |= {r.clipped_by for r in reports}
         assert branches == {"none", "dp_bound", "bias_bound"}
 
-    @BUDGETS
-    def test_large_matrix_matches_in_place_clip_and_sum_and_is_left_unchanged(self, monkeypatch,
-                                                                              rows):
-        """Rows clipped and summed a block at a time onto a running total give
-        the bytes of clipping the matrix in place and summing it, at a size
-        where numpy's reduction could block or buffer."""
+    @pytest.mark.parametrize("m, P", [(600, 30_000), (5_000, 2)])
+    def test_large_matrix_matches_in_place_clip_and_sum_and_is_left_unchanged(self, m, P):
+        """The clip-and-sum gives the bytes of clipping the matrix in place
+        and summing it, at sizes where numpy could block or buffer: a wide
+        matrix, and a tall, narrow one, whose row axis an iterator could make
+        its inner loop."""
         g = np.random.default_rng(13)
-        m, P = 600, 30_000
-        set_row_budget(monkeypatch, rows, P)
         D = g.standard_normal((m, P))
         D *= g.choice([1e-3, 1.0, 1e3], size=(m, 1))  # unclipped and clipped rows
         D[:, 0] = -0.0  # the sign of a zero sum shows where the total starts
@@ -233,8 +221,8 @@ class TestAggregateMatrix:
         avg, S, reports = aggregate_round(D, cfg, norms)
         assert D.tobytes() == before.tobytes()
         ref_reports = []
-        for i, n in enumerate(norms):  # clipped in place
-            before[i], report = dual_clip(before[i], S, cfg.M, norm=n)
+        for i in range(m):  # clipped in place
+            before[i], report = dual_clip(before[i], S, cfg.M)
             ref_reports.append(report)
         assert avg.tobytes() == (before.sum(axis=0) / m).tobytes()
         assert reports == ref_reports
@@ -247,8 +235,8 @@ def rowwise_dual_clip_aggregate(D, config, norms):
     S = adaptive_S(norms) if config.S_policy == "median_adaptive" else config.S_fixed
     total = np.zeros(D.shape[1])
     reports = []
-    for row, norm in zip(D, norms):
-        row, report = dual_clip(row, S, config.M, norm=norm)
+    for row in D:
+        row, report = dual_clip(row, S, config.M)
         total += row
         reports.append(report)
     return total / len(D), S, reports
@@ -256,10 +244,7 @@ def rowwise_dual_clip_aggregate(D, config, norms):
 
 class TestLeanAggregate:
     @pytest.mark.parametrize("P", [21, 353, 28_426])
-    @BUDGETS
-    def test_matches_rowwise_dual_clip_bit_for_bit_and_leaves_D_alone(self, monkeypatch, P,
-                                                                      rows):
-        set_row_budget(monkeypatch, rows, P)
+    def test_matches_rowwise_dual_clip_bit_for_bit_and_leaves_D_alone(self, P):
         g = np.random.default_rng(P)
         D = g.standard_normal((12, P)) / math.sqrt(P)  # norms near 1
         D *= np.array([0.1, 0.5, 0.9, 1.0, 1.5, 2.5, 4.0, 0.2, 3.0, 0.7, 8.0, 1.2])[:, None]
@@ -281,11 +266,8 @@ class TestLeanAggregate:
         assert branches == {"none", "dp_bound", "bias_bound"}
 
 
-    @BUDGETS
-    def test_zero_column_sums_from_positive_zero(self, monkeypatch, rows):
-        """The total starts at 0.0, so a column of -0.0 sums to 0.0, in one
-        block or in several."""
-        set_row_budget(monkeypatch, rows, 10)
+    def test_zero_column_sums_from_positive_zero(self):
+        """The total starts at 0.0, so a column of -0.0 sums to 0.0."""
         D = np.random.default_rng(2).standard_normal((9, 10))
         D[:, 4] = -0.0
         norms = [l2_norm(row) for row in D]
@@ -319,7 +301,7 @@ class TestRunOwnsItsBuffers:
 
         def spy(state, *args):
             state, record = original(state, *args)
-            refs.append(weakref.ref(state.updates))
+            refs.append(weakref.ref(state.plan.W))
             return state, record
 
         monkeypatch.setattr(federation, "run_round", spy)
@@ -394,7 +376,7 @@ class TestUpdateBuffer:
         for _ in range(config.fed.T):
             state, rec = run_round(state, shards, config.fed, spec, test, root)
             snapshots.append((state.w_global, state.w_global.copy(), rec,
-                              json.dumps(rec.to_dict(), sort_keys=True), state.updates))
+                              json.dumps(rec.to_dict(), sort_keys=True), state.plan.W))
         return state, snapshots
 
     def test_one_buffer_and_later_rounds_leave_earlier_results_alone(self):
@@ -403,8 +385,8 @@ class TestUpdateBuffer:
         for w, w_then, rec, doc_then, buffer in snapshots:
             assert np.array_equal(w, w_then)
             assert json.dumps(rec.to_dict(), sort_keys=True) == doc_then
-            assert buffer is state.updates
-        assert state.updates.shape == (config.fed.m_t, config.model_spec.param_dim)
+            assert buffer is state.plan.W
+        assert state.plan.W.shape == (config.fed.m_t, config.model_spec.param_dim)
 
     @pytest.mark.parametrize("epochs", [1, 2])
     def test_nonfinite_error_names_first_sampled_client(self, epochs):
