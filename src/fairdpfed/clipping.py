@@ -66,8 +66,7 @@ def clip_factors(norms, S: float, M: float):
 
 def dual_clip(delta: ParamVector, S: float, M: float):
     """Divide the vector delta by max(1, ||delta||/S, ||delta||/M), as
-    clip_factors decides; returns the clipped delta and its report. An
-    unclipped vector is returned as is."""
+    clip_factors decides; returns it (as is if unclipped) and its report."""
     delta = np.asarray(delta, dtype=np.float64)
     if delta.ndim != 1:
         raise ValueError(f"dual_clip clips one vector, got an array of shape {delta.shape}")

@@ -20,10 +20,10 @@ trains through it too. Right after the block that holds a client's last
 step, while the row is still in cache, it becomes the client's transmitted
 difference (minus the global model, times any update bias), and l2_norm
 takes the block's norms in one call; they are checked finite once, after
-training. The server then decides the round's clips in one call, and one
-einsum adds the clipped rows to a total in sampled order (see
-aggregate_round). When every client is sampled nothing is drawn.
-Evaluation reads the test set's group index, worked out once.
+training. The server then decides the round's clips in one call, and adds
+the clipped rows to a total in sampled order (see aggregate_round). When
+every client is sampled nothing is drawn. Evaluation reads the test set's
+group index, worked out once.
 """
 
 from __future__ import annotations
@@ -184,16 +184,18 @@ def aggregate_round(D: np.ndarray, config: FedConfig, norms):
     """Pick S, dual-clip each update, and average with 1/m_t.
 
     ``D`` is the round's (m_t, P) float64 update matrix, left unchanged, and
-    ``norms`` are its rows' finite norms, from which the clips are decided
-    once. One einsum multiplies each row by its factor and adds the products
-    to a total that starts at 0.0, row after row; an unclipped row's factor
-    is 1.0, which leaves it as it is. Where einsum does not fuse the multiply
-    and the add (see README), the average is bit-identical to summing the
+    ``norms`` its rows' finite norms, which decide the clips once. Clipped
+    rows are scaled into one reused vector, unclipped ones read from D, and
+    added to a total from 0.0 in sampled order by ufuncs, which round each
+    product on every build: the average is bit-identical to summing the
     clipped matrix. Returns (averaged update, S_used, list of ClipReport).
     """
     S = adaptive_S(norms) if config.S_policy == "median_adaptive" else config.S_fixed
     factors, reports = clip_factors(norms, S, config.M)
-    return np.einsum("i,ij->j", factors, D) / len(D), S, reports
+    total, scaled = np.zeros(D.shape[1]), np.empty(D.shape[1])
+    for row, f in zip(D, factors.tolist()):
+        total += row if f == 1.0 else np.multiply(row, f, out=scaled)
+    return total / len(D), S, reports
 
 
 def run_round(

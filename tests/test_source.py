@@ -41,4 +41,4 @@ def test_allowed_unused_imports_are_still_read_by_name():
     """Each allowance holds only while perfbench's tests read the binding."""
     perfbench_tests = (ROOT / "perfbench" / "test_perfbench.py").read_text()
     for module, name in UNUSED_ALLOWED:
-        assert f'"{module}.{name}": {module}.{name}' in perfbench_tests
+        assert f"{module}.{name}" in perfbench_tests
