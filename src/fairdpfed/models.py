@@ -8,27 +8,29 @@ views. A stack of models is a (g, P) matrix, one model per row.
 :func:`train_clients` is the one SGD loop: the federation's sampled clients
 and the centralized baseline (one client on the whole training set) both
 train through it. It runs minibatch SGD for many clients together, client i
-in row i of a matrix that it updates in place, on row spans of one pool.
-Each epoch it runs :func:`schedule`'s blocks: the full minibatches step by
-step, then the short last ones as ragged blocks of at most
-:func:`block_rows` clients, sorted by row count. A block's clients with one
-row count form a subgroup, whose forward and backward products run as one
-stacked matmul each, which applies to every (n, d) slice the kernel that one
-model's 2-D product uses; a subgroup of one client makes those 2-D calls
-itself. The elementwise stages, the update and the write-back run once per
-block, and each act on each row alone, so each row ends bit-identical to
-training its client alone.
+in row i of a matrix, on row spans of one pool. Each epoch it runs
+:func:`schedule`'s blocks: the full minibatches step by step, then the short
+last ones as ragged blocks of at most :func:`block_rows` clients, sorted by
+row count. Every block trains in one parameter buffer, which takes a
+block's rows of the matrix only when the block before held other rows and
+writes them back only when the block after holds other rows. A block's
+clients with one row count form a subgroup, whose forward and backward
+products run as one stacked matmul each, which applies to every (n, d)
+slice the kernel that one model's 2-D product uses; a subgroup of one
+client makes those 2-D calls itself. The elementwise stages and the update
+run once per block, and each act on each row alone, so each row ends
+bit-identical to training its client alone.
 
 The gradient formula is written once, as an emitter: :func:`_forward` and
 :func:`_gradients` return a block's calls as a list of (ufunc, args) pairs,
 every output passed positionally, every view they read or write (the
 transposes, the bias rows, the p view, the subgroups' slices) built into
 the list. :func:`gradient`, :func:`loss` and :func:`evaluate` emit a list
-and run it once. A :class:`Plan` emits each block's list, followed by the
-update, when it first binds a block of that key, and keeps the lists, and
-the buffers they are bound to, for the run: a step then runs its list with
-no keyword parsing, scalar conversion or view building. The calls are those
-the formula always made, with bit-identical substitutions:
+and run it once. A :class:`Plan` emits a block's list, followed by the
+update, when it first binds a block of that shape (its subgroups), and keeps
+the lists, and the buffers they are bound to, for the run: a step then runs
+its list with no keyword parsing, scalar conversion or view building. The
+calls are those the formula always made, with bit-identical substitutions:
 ``np.reciprocal(z)`` for ``1.0 / z`` (the one IEEE division either way);
 read-only 0-d float64 arrays for 1.0, the minibatch size and the learning
 rate (a ufunc turns a Python number into that array on every call); float64
@@ -407,30 +409,31 @@ class Plan:
     the epoch's pool rows in block order, and one step per block. Shuffling
     a client's rows start .. stop - 1 in place draws the swaps of shuffling
     0 .. n - 1, so the buffer then holds start plus the client's
-    permutation. For the run: the buffers, the views of each block shape
-    and each block key's call list. Blocks run one after another, so all of
-    them share one buffer of each kind: the minibatch rows, their float64
-    labels and the work arrays (see :func:`_work`), sized for the largest
-    block, and the gradient and the gathered parameters, sized for
-    block_rows(P) models. A contiguous block's parameters are views of W; a
-    block of scattered clients is gathered into a buffer and written back
-    after each step.
+    permutation. For the run: the buffers and each block shape's call list.
+    Blocks run one after another, so all of them share one buffer of each
+    kind: the minibatch rows, their float64 labels and the work arrays (see
+    :func:`_work`), sized for the largest block, and the gradient and the
+    block's parameters, sized for block_rows(P) models. Every block trains
+    in that one parameter buffer: a step loads its rows of W into it unless
+    the step before held the same rows (or every row starts there), and
+    stores them back unless the step after holds the same rows; an epoch's
+    last step always stores. A client that trains alone moves its row once
+    per epoch.
 
     A call list is :func:`_gradients`' list for the block's views, followed
-    by the update G *= lr; W -= G, emitted when a block of its key is first
-    bound. The key is (the block's subgroups, its rows of W when contiguous,
-    else None: every gathered block reads the gather buffer). Blocks of one
-    key share the list, across epochs, rounds and samples: every step of a
-    one-client plan shares one. A sample whose largest block outgrows the
-    minibatch buffers allocates larger ones and drops the views and lists
-    bound to the old.
+    by the update G *= lr; W -= G on the parameter buffer, emitted when a
+    block of its subgroups is first bound. Blocks of one shape share the
+    list, across epochs, rounds and samples, whatever their rows: every
+    step of a one-client plan with one minibatch size shares one. A sample
+    whose largest block outgrows the minibatch buffers allocates larger
+    ones and drops the lists bound to the old.
     """
 
     def __init__(self, spec: ModelSpec, spans: list, batch_size: int, lr: float,
                  W: np.ndarray):
         self.spec, self.batch_size, self.lr, self.W = spec, batch_size, _constant(lr), W
         size = min(len(W), block_rows(spec.param_dim)) * spec.param_dim
-        self.G, self.gathered = np.empty(size), np.empty(size)
+        self.G, self.params = np.empty(size), np.empty(size)
         self.cells, self.spans = 0, None
         self.set_spans(spans)
 
@@ -444,64 +447,57 @@ class Plan:
         local = np.arange(len(offsets)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
         self.span_rows = offsets + local  # client i's pool rows start .. stop - 1
         self.shuffled = np.empty_like(self.span_rows)
-        self.views = np.split(self.shuffled, np.cumsum(sizes)[:-1])
+        bounds = np.cumsum(sizes).tolist()
+        self.views = [self.shuffled[a:b] for a, b in zip([0] + bounds, bounds)]
         self.order = order
         self.rows = np.empty_like(order)  # the epoch's pool rows, in block order
 
         cells = max(c.stop - c.start for *_, c in blocks)
         if cells > self.cells:
-            self.cells, self.shapes, self.lists = cells, {}, {}
+            self.cells, self.lists = cells, {}
             self.X, self.y = np.empty(cells * self.spec.n_features), np.empty(cells)
             self.work = [np.empty(cells * w, dtype) for w, dtype in _work_layout(self.spec)]
+        members = [list(range(r.start, r.stop)) if isinstance(r, slice) else r for r, *_ in blocks]
         self.steps = []
-        for rows, subgroups, fresh, done, cells in blocks:
-            contiguous = isinstance(rows, slice)
-            key = (tuple(subgroups), (rows.start, rows.stop) if contiguous else None)
+        for k, (rows, subgroups, fresh, done, cells) in enumerate(blocks):
+            key = tuple(subgroups)
             if key not in self.lists:
-                self.lists[key] = self._bind(key[0], rows if contiguous else None)
+                self.lists[key] = self._bind(key)
             X, y, Wg, ops = self.lists[key]
-            gather = None if contiguous else np.array(rows)
-            m = len(Wg)
+            clients, m = np.array(members[k]), len(Wg)
             # all of the block's clients (slice(None)), some or none (None)
             starts = None if not fresh else slice(None) if len(fresh) == m else fresh
             ends = None
             if done:
-                clients = gather if gather is not None else np.arange(rows.start, rows.stop)
                 ends = (None, clients) if len(done) == m else (done, clients[done])
-            self.steps.append((self.rows[cells], X, y, gather, Wg, starts, ends, ops))
+            # load unless the step before (for the first, the epoch before's
+            # last) held these rows; store unless the step after holds them
+            load = None if members[k - 1] == members[k] else clients
+            store = (None if members[k + 1:k + 2] == [members[k]] else
+                     rows if isinstance(rows, slice) else clients)
+            self.steps.append((self.rows[cells], X, y, load, Wg, starts, ends, store, ops))
 
-    def _shape(self, subgroups: tuple) -> tuple:
-        """The views every block of these subgroups computes in: its
-        minibatch, labels, gradient and work arrays, each subgroup's
-        (first model, models, minibatch, work, gradient parts), and each
-        row's minibatch size."""
-        if subgroups not in self.shapes:
-            spec = self.spec
-            P, d = spec.param_dim, spec.n_features
-            m, R = sum(g for g, _ in subgroups), sum(g * n for g, n in subgroups)
-            G = self.G[: m * P].reshape(m, P)
-            X, work = self.X[: R * d].reshape(R, d), _work(spec, (R,), self.work)
-            subs, c, r = [], 0, 0
-            for g, n in subgroups:
-                rows = slice(r, r + g * n)
-                subs.append((c, g, _stack(X[rows], g), tuple(_stack(a[rows], g) for a in work),
-                             _unflatten(spec, _models(G, c, g))))
-                c, r = c + g, r + g * n
-            n = (_constant(subgroups[0][1]) if len(subgroups) == 1 else
-                 np.repeat([n for _, n in subgroups], [g * n for g, n in subgroups])
-                 .astype(np.float64)[:, None])
-            self.shapes[subgroups] = (X, self.y[:R], G, work, subs, n)
-        return self.shapes[subgroups]
-
-    def _bind(self, subgroups: tuple, rows) -> tuple:
-        """(minibatch buffer, label buffer, parameters, call list) of a block
-        of these subgroups, on W[rows] when rows is a slice, else on the
-        gather buffer."""
-        X, y, G, work, subs, n = self._shape(subgroups)
-        Wg = self.gathered[: G.size].reshape(G.shape) if rows is None else self.W[rows]
-        groups = [(_unflatten(self.spec, _models(Wg, c, g)), Xs, ws, gs)
-                  for c, g, Xs, ws, gs in subs]
-        ops = _gradients(self.spec, groups, y, n, work)
+    def _bind(self, subgroups: tuple) -> tuple:
+        """(minibatch buffer, label buffer, parameters, call list) of every
+        block of these subgroups: the list's views of the minibatch, label,
+        gradient, parameter and work buffers, each subgroup's slices of them,
+        and each row's minibatch size."""
+        spec = self.spec
+        P, d = spec.param_dim, spec.n_features
+        m, R = sum(g for g, _ in subgroups), sum(g * n for g, n in subgroups)
+        G, Wg = self.G[: m * P].reshape(m, P), self.params[: m * P].reshape(m, P)
+        X, y, work = self.X[: R * d].reshape(R, d), self.y[:R], _work(spec, (R,), self.work)
+        groups, c, r = [], 0, 0
+        for g, n in subgroups:
+            rows = slice(r, r + g * n)
+            groups.append((_unflatten(spec, _models(Wg, c, g)), _stack(X[rows], g),
+                           tuple(_stack(a[rows], g) for a in work),
+                           _unflatten(spec, _models(G, c, g))))
+            c, r = c + g, r + g * n
+        n = (_constant(subgroups[0][1]) if len(subgroups) == 1 else
+             np.repeat([n for _, n in subgroups], [g * n for g, n in subgroups])
+             .astype(np.float64)[:, None])
+        ops = _gradients(spec, groups, y, n, work)
         ops += [(np.multiply, (G, self.lr, G)), (np.subtract, (Wg, G, Wg))]
         return X, y, Wg, ops
 
@@ -514,20 +510,21 @@ def train_clients(w0: ParamVector, pool: LabeledBatch, plan: Plan, epochs: int, 
 
     Client i trains on its span of pool, and plan is the :class:`Plan` of the
     spans. Row i of W is set to w0 at the client's first step (whatever W
-    held before is ignored) and updated in place. Each epoch, client i's
-    pool rows are shuffled in place as rng.child("client", ids[i])
-    .child("epoch", e) would shuffle them (see :func:`shuffle_clients`), and
-    the plan's blocks run in turn. A block's rows are one take of features
-    and one of float64 labels into its buffers, any row that starts is set
-    to w0 (after a gather of the block's rows of W when they are scattered),
-    and then its call list runs: the products per subgroup as stacked
-    matmuls, everything else once per block, then the update (see
-    :func:`_gradients`), so every row ends bit-identical to training its
-    client alone. Right after the block that holds the last step of clients
-    rows (an int array), finish(rows, B) is called with B (len(rows), P)
-    holding their final models, once per client, in the order the blocks
-    run. The hook may change B in place; W[rows] then holds what it left
-    there.
+    held before is ignored), and holds the client's model after each epoch.
+    Each epoch, client i's pool rows are shuffled in place as
+    rng.child("client", ids[i]).child("epoch", e) would shuffle them (see
+    :func:`shuffle_clients`), and the plan's blocks run in turn, each in the
+    plan's one parameter buffer. A block's rows are one take of features
+    and one of float64 labels into its buffers, its rows of W are taken
+    into the parameter buffer unless it holds them already, any row that
+    starts is set to w0, and then its call list runs: the products per
+    subgroup as stacked matmuls, everything else once per block, then the
+    update (see :func:`_gradients`), so every row ends bit-identical to
+    training its client alone. Right after the block that holds the last
+    step of clients rows (an int array), finish(rows, B) is called with B
+    (len(rows), P) holding their final models, once per client, in the
+    order the blocks run. The hook may change B in place; W[rows] then
+    holds what it left there.
     """
     W, rows, features = plan.W, plan.rows, pool.features
     labels = pool.labels.astype(np.float64)  # as the pool holds them now, flipped or not
@@ -536,14 +533,14 @@ def train_clients(w0: ParamVector, pool: LabeledBatch, plan: Plan, epochs: int, 
         shuffle_clients(rng, ids, e, plan.views)
         np.take(plan.shuffled, plan.order, out=rows)
         last = finish is not None and e == epochs - 1
-        for idx, X, y, gather, Wg, starts, ends, ops in plan.steps:
+        for idx, X, y, load, Wg, starts, ends, store, ops in plan.steps:
             # take(indices, axis, out, mode), positional as in the call lists;
             # every index is in range: mode "clip" only spares take a buffer
             features.take(idx, 0, X, "clip")
             labels.take(idx, None, y, "clip")
             fresh = starts if e == 0 else None
-            if gather is not None and fresh != slice(None):  # else every row is set to w0
-                W.take(gather, axis=0, out=Wg, mode="clip")
+            if load is not None and fresh != slice(None):  # else every row is set to w0
+                W.take(load, 0, Wg, "clip")
             if fresh is not None:
                 Wg[fresh] = w0
             for f, args in ops:  # _run, inline: this loop runs every step
@@ -556,8 +553,8 @@ def train_clients(w0: ParamVector, pool: LabeledBatch, plan: Plan, epochs: int, 
                     B = Wg[done]
                     finish(done_rows, B)
                     Wg[done] = B
-            if gather is not None:
-                W[gather] = Wg
+            if store is not None:
+                W[store] = Wg
 
 
 @np.errstate(over="ignore")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers_fed import fedavg_reference, scenario_config
-from test_models import finish_order
+from test_models import block_members, finish_order
 
 from fairdpfed import federation, models
 from fairdpfed.clipping import dual_clip
@@ -317,8 +317,8 @@ class TestRunKeepsItsCallLists:
     def test_resampled_round_emits_lists_only_for_new_keys(self, monkeypatch):
         """Half of 60 clients sampled per round: the plan, its buffers and its
         call lists stay the run's, and a round emits a list only for a block
-        key (subgroups, contiguous rows of the update matrix or None) that no
-        earlier round of the run had."""
+        key (its subgroups, whatever its rows) that no earlier round of the
+        run had."""
         emitted = []
 
         gradients = models._gradients
@@ -339,8 +339,8 @@ class TestRunKeepsItsCallLists:
         for t in range(fed.T):
             sampled = sample_clients(fed.K, fed.q, root.child("sample", t))
             spans = [(shards[c].start, shards[c].stop) for c in sampled]
-            keys = [(tuple(subgroups), (rows.start, rows.stop) if isinstance(rows, slice) else None)
-                    for rows, subgroups, *_ in models.schedule(spec, spans, fed.batch_size)[2]]
+            keys = [tuple(subgroups)
+                    for _, subgroups, *_ in models.schedule(spec, spans, fed.batch_size)[2]]
             new = set(keys) - seen
             seen |= new
             blocks += len(keys)
@@ -352,6 +352,42 @@ class TestRunKeepsItsCallLists:
         assert all(all(a is b for a, b in zip(now, bound[0])) for now in bound)
         assert len(state.plan.lists) == len(seen) < blocks
         assert new_per_round[0] > 0 and sum(new_per_round[1:]) > 0
+
+    def test_call_lists_are_bounded_by_block_shapes(self, monkeypatch):
+        """Two rows per block and half of 20 clients of 25 or 26 rows sampled
+        per round: blocks fall on other rows of the update matrix from round
+        to round, but the run binds one call list per distinct block shape
+        (subgroups), so the plan's lists stop growing once no new shape
+        appears."""
+        emitted = []
+
+        gradients = models._gradients
+
+        def counted(*args):
+            emitted.append(args)
+            return gradients(*args)
+
+        monkeypatch.setattr(models, "_gradients", counted)
+        base = scenario_config(K=20, q=0.5, T=8, n_examples=630, batch_size=8)
+        config = dataclasses.replace(base, model_kind="mlp_1hidden", hidden_units=4)
+        fed, spec = config.fed, config.model_spec
+        set_row_budget(monkeypatch, 2, spec.param_dim)
+        _, test, shards = build_scenario(config)
+        root = RngStream(fed.seed)
+        state = ServerState(round=0, w_global=models.init_params(spec, root.child("init")),
+                            ledger=PrivacyLedger(delta_dp=fed.delta_dp))
+        shapes, placed, counts = set(), set(), []
+        for t in range(fed.T):
+            sampled = sample_clients(fed.K, fed.q, root.child("sample", t))
+            spans = [(shards[c].start, shards[c].stop) for c in sampled]
+            for rows, subgroups, *_ in models.schedule(spec, spans, fed.batch_size)[2]:
+                shapes.add(tuple(subgroups))
+                placed.add((tuple(subgroups), tuple(block_members(rows, len(sampled)))))
+            state, _ = run_round(state, shards, fed, spec, test, root)
+            counts.append((len(shapes), len(state.plan.lists)))
+        assert len(emitted) == len(state.plan.lists) == len(shapes) < len(placed)
+        assert all(bound == seen for seen, bound in counts)
+        assert counts[2] == counts[-1]  # rounds 3 to 7 meet no new shape
 
 
 class TestUpdateBuffer:

@@ -198,7 +198,8 @@ class TestCentralizedBaseline:
     def test_one_call_list_per_block_key(self, monkeypatch):
         """240 rows in minibatches of 32, T=4, epochs=2: 64 steps of one
         plan, which emits two call lists (full steps and the 16-row tail),
-        shared by every step of their key."""
+        keyed by the block's subgroups alone and shared by every step of
+        them."""
         plans, emitted = [], []
 
         class Spy(models.Plan):
@@ -219,8 +220,8 @@ class TestCentralizedBaseline:
         [plan] = plans
         assert len(emitted) == len(plan.lists) == 2
         assert len(plan.steps) == 8
-        full = plan.lists[((1, 32),), (0, 1)][-1]
-        tail = plan.lists[((1, 16),), (0, 1)][-1]
+        full = plan.lists[((1, 32),)][-1]
+        tail = plan.lists[((1, 16),)][-1]
         assert all(step[-1] is full for step in plan.steps[:7]) and plan.steps[7][-1] is tail
 
     def test_separable_data_high_accuracy(self):

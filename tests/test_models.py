@@ -438,6 +438,55 @@ class TestTrainClients:
         a, b = max_cells(spec, shards, first, bs), max_cells(spec, shards, then, bs)
         assert a != b and cells == [a, max(a, b), max(a, b)]
 
+    @pytest.mark.parametrize("spec", [LOGREG, SOFTMAX, MLP], ids=["binary", "softmax", "mlp"])
+    @pytest.mark.parametrize("sizes, epochs", [
+        ([37], 3),  # one client: every step holds its row, which moves once an epoch
+        ([32, 32], 2),  # an epoch's last block and the next epoch's first hold the same rows
+        ([16, 40, 21], 2),  # the first block ends client 0 while 1 and 2 go on
+    ], ids=["alone", "same_rows_across_epochs", "some_end"])
+    def test_loads_and_stores_match_per_client_loop_bit_for_bit(self, spec, sizes, epochs):
+        """Blocks train in the plan's one parameter buffer, which a step
+        loads from and stores to W only where its rows change: W still
+        holds every client's model, and what the finish hook left there."""
+        bs = self.BATCH_SIZE
+        shards = self.ragged_shards(spec, sizes)
+        w0 = models.init_params(spec, RngStream(4).child("init"))
+        W = np.full((len(shards), spec.param_dim), np.nan)  # rows start from w0
+        finished = []
+
+        def finish(rows, B):
+            finished.extend(rows.tolist())
+            np.negative(B, out=B)
+
+        self.train(spec, W, w0, shards, epochs, finish)
+        assert finished == finish_order(sizes, bs)
+        for i, (row, shard) in enumerate(zip(W, shards)):
+            assert np.array_equal(-row, per_client_sgd(spec, w0, shard.batch, epochs, 0.1, bs,
+                                                       RngStream(4).child("client", i)))
+
+    @pytest.mark.parametrize("spec", [LOGREG, SOFTMAX, MLP], ids=["binary", "softmax", "mlp"])
+    def test_plan_rebound_from_scattered_to_contiguous_rows(self, spec):
+        """A plan whose blocks gathered scattered rows of W, re-bound by
+        set_spans to clients whose blocks hold contiguous rows, trains every
+        row as its client alone, before and after."""
+        shards = self.ragged_shards(spec, [20, 5, 18, 16, 16])
+        bs = self.BATCH_SIZE
+        w0 = models.init_params(spec, RngStream(4).child("init"))
+        W = np.full((3, spec.param_dim), np.nan)
+        plan = None
+        for ids, contiguous in (([0, 1, 2], False), ([3, 4, 2], True)):
+            spans = [(shards[i].start, shards[i].stop) for i in ids]
+            blocks = models.schedule(spec, spans, bs)[2]
+            assert all(isinstance(rows, slice) for rows, *_ in blocks) == contiguous
+            if plan is None:
+                plan = models.Plan(spec, spans, bs, 0.1, W)
+            else:
+                plan.set_spans(spans)
+            models.train_clients(w0, shards[0].pool, plan, 2, RngStream(4), ids)
+            for row, i in zip(W, ids):
+                assert np.array_equal(row, per_client_sgd(spec, w0, shards[i].batch, 2, 0.1, bs,
+                                                          RngStream(4).child("client", i)))
+
     @pytest.mark.parametrize("small_groups", [False, True])
     def test_finish_runs_once_per_client_right_after_its_last_step(self, monkeypatch,
                                                                    small_groups):
